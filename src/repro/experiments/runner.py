@@ -17,7 +17,7 @@ import numpy as np
 from repro.attacks.base import ReconstructionResult
 from repro.attacks.imprint import ImprintedModel
 from repro.attacks.linear import LinearClassifier, LinearModelInversion
-from repro.attacks.registry import make_attack as registry_make_attack
+from repro.attacks.registry import make_attack
 from repro.data.loaders import class_balanced_batch
 from repro.data.synthetic import SyntheticImageDataset
 from repro.defense.base import ClientDefense, NoDefense
@@ -43,25 +43,6 @@ class AttackTrialResult:
         if not self.psnrs:
             return 0.0
         return float(np.mean(self.psnrs))
-
-
-def make_attack(
-    name: str,
-    num_neurons: int,
-    public_images: np.ndarray,
-    seed: int = 0,
-    **knobs,
-):
-    """Build a calibrated attack from the zoo (any registered name).
-
-    Thin delegate to :func:`repro.attacks.registry.make_attack`, kept here
-    because every per-figure harness historically imported it from this
-    module.  Unknown names raise
-    :class:`~repro.attacks.registry.UnknownAttackError` (a ``ValueError``).
-    """
-    return registry_make_attack(
-        name, num_neurons, public_images, seed=seed, **knobs
-    )
 
 
 def defense_from_name(name: str, seed: "int | None" = None) -> ClientDefense:

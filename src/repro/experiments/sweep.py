@@ -15,14 +15,12 @@ module provides that engine:
   reconstructions with the vectorized pairwise-PSNR matcher.
 - :class:`SweepStore` is a resumable result store built for million-cell
   grids: an append-only record log where each finished cell costs O(1)
-  bytes to persist (the former monolithic-JSON store rewrote the whole
-  file per cell — O(N^2) bytes over a run) and only a ``key -> offset``
-  index stays in memory; values are read back lazily and
-  :meth:`SweepStore.iter_cells` streams the grid without materializing
-  it.  Completed runs compact the log into canonical sorted-key order,
-  and stores written by the old JSON format migrate transparently on
-  first write.  The per-figure harnesses (``attack_sweep``,
-  ``defense_eval``) share the same store for their own grids.
+  bytes to persist and only a ``key -> offset`` index stays in memory;
+  values are read back lazily and :meth:`SweepStore.iter_cells` streams
+  the grid without materializing it.  Completed runs compact the log
+  into canonical sorted-key order.  The per-figure harnesses
+  (``attack_sweep``, ``defense_eval``) share the same store for their
+  own grids.
 - :class:`SerialSweepExecutor` / :class:`WorkStealingSweepExecutor` decide
   *how* the pending cells run: in-process, or pulled by worker processes
   from a shared task queue — a worker takes its next cell the moment it
@@ -345,12 +343,10 @@ class SweepStore:
     """Resumable append-only log store of finished cells.
 
     Built for million-cell grids: a :meth:`put` *appends* one record line
-    to the backing log — O(1) bytes per cell, instead of the former
-    monolithic-JSON store's full-file rewrite (O(N^2) bytes over a run) —
-    and only the ``key -> byte offset`` index lives in memory; cell values
-    stay on disk and are parsed on demand (:meth:`get`,
-    :meth:`iter_cells`), so holding a 10^6-cell store open costs the index,
-    not the grid.
+    to the backing log — O(1) bytes per cell — and only the ``key -> byte
+    offset`` index lives in memory; cell values stay on disk and are parsed
+    on demand (:meth:`get`, :meth:`iter_cells`), so holding a 10^6-cell
+    store open costs the index, not the grid.
 
     The file format is line-oriented: a header line naming
     :data:`STORE_FORMAT`, then one ``{"k": ..., "v": ...}`` JSON record
@@ -363,10 +359,9 @@ class SweepStore:
     compact on completion, which is what keeps serial, work-stolen
     parallel, and resumed stores **byte-identical**.
 
-    Stores written by the pre-log monolithic format (``{"cells": {...}}``
-    JSON, including the committed golden stores) load transparently and
-    are left byte-for-byte unchanged until the first write, which migrates
-    the file to the log format once.  With ``path=None`` the store is
+    An existing file whose first line is not the :data:`STORE_FORMAT`
+    header raises :class:`SweepStoreError` on open and is left
+    byte-for-byte unchanged.  With ``path=None`` the store is
     memory-only — same interface, no persistence.
     """
 
@@ -375,11 +370,9 @@ class SweepStore:
         self.hits = 0
         self.misses = 0
         # key -> (offset, length) into the log file, or None when the
-        # value lives in _mem (memory-only store, or a legacy-format
-        # store loaded but not yet migrated).
+        # value lives in _mem (memory-only store).
         self._where: "dict[str, tuple[int, int] | None]" = {}
         self._mem: dict[str, object] = {}
-        self._legacy = False
         self._read_handle = None
         self._append_handle = None
         self._data_end = 0  # end of the last intact record (torn tails cut)
@@ -397,26 +390,19 @@ class SweepStore:
             raise SweepStoreError(
                 f"sweep store {path} exists but cannot be read: {error}"
             ) from error
-        header = None
         try:
             header = json.loads(first_line)
         except ValueError:
-            pass
-        if isinstance(header, dict) and "format" in header:
-            if header["format"] != STORE_FORMAT:
-                raise SweepStoreError(
-                    f"sweep store {path} was written by format "
-                    f"{header['format']!r}, not {STORE_FORMAT!r}; refusing "
-                    "to mix store formats — migrate or delete the file"
-                )
-            self._where, self._data_end = self._scan_log(path)
-        else:
-            # Pre-log monolithic JSON store: load in full (such stores
-            # were memory-bound by construction) and migrate lazily on
-            # the first write, leaving read-only opens byte-identical.
-            self._mem = self._load_legacy(path)
-            self._where = {key: None for key in self._mem}
-            self._legacy = True
+            header = None
+        if not isinstance(header, dict) or header.get("format") != STORE_FORMAT:
+            raise SweepStoreError(
+                f"sweep store {path} does not start with the "
+                f"{STORE_FORMAT!r} header (first line: "
+                f"{first_line[:80].decode('utf-8', 'replace')!r}); refusing "
+                "to read or overwrite a file this module did not write — "
+                "delete or move it first"
+            )
+        self._where, self._data_end = self._scan_log(path)
 
     @staticmethod
     def _scan_log(path: Path) -> "tuple[dict[str, tuple[int, int]], int]":
@@ -465,33 +451,6 @@ class SweepStore:
                 where[record["k"]] = (start, len(line))
                 data_end = offset
         return where, data_end
-
-    @staticmethod
-    def _load_legacy(path: Path) -> dict:
-        """Parse a pre-log monolithic store, raising on damage."""
-        try:
-            text = path.read_text()
-        except OSError as error:
-            raise SweepStoreError(
-                f"sweep store {path} exists but cannot be read: {error}"
-            ) from error
-        try:
-            payload = json.loads(text)
-        except ValueError as error:
-            raise SweepStoreError(
-                f"sweep store {path} is corrupt (not valid JSON: {error}); "
-                "it was likely truncated by a non-atomic writer or a full "
-                "disk — delete the file to start the sweep from scratch"
-            ) from error
-        if not isinstance(payload, dict) or not isinstance(
-            payload.get("cells"), dict
-        ):
-            raise SweepStoreError(
-                f"sweep store {path} parsed as JSON but lacks the expected "
-                '{"cells": {...}} shape; refusing to overwrite a file this '
-                "module did not write — delete or move it first"
-            )
-        return payload["cells"]
 
     # -- reads -------------------------------------------------------------
 
@@ -554,10 +513,6 @@ class SweepStore:
         self._append(mapping)
 
     def _append(self, mapping: dict) -> None:
-        if self._legacy:
-            # One-time migration: rewrite the legacy JSON as a log, then
-            # append normally ever after.
-            self._write_canonical()
         handle = self._appender()
         offset = self._data_end
         buffer = bytearray()
@@ -596,16 +551,12 @@ class SweepStore:
         Executors call this once per completed run: compaction is what
         turns "same mapping" into "same bytes", making serial, parallel,
         and resumed stores byte-identical regardless of the order cells
-        finished (and it drops superseded duplicate records).  Also the
-        migration point for legacy-format stores.
+        finished (and it drops superseded duplicate records).
         """
         if self.path is None:
             return
         if not self._where and not self.path.exists():
             return  # nothing ever persisted; don't create an empty file
-        self._write_canonical()
-
-    def _write_canonical(self) -> None:
         keys = sorted(self._where)
         new_where: "dict[str, tuple[int, int] | None]" = {}
 
@@ -626,8 +577,6 @@ class SweepStore:
             len(_STORE_HEADER) + 1
             + sum(length for _, length in new_where.values())
         )
-        self._mem = {}
-        self._legacy = False
 
     def close(self) -> None:
         """Close file handles (reopened lazily on the next access)."""
@@ -1023,11 +972,6 @@ class WorkStealingSweepExecutor:
         store.recover_shards()
         store.compact()
         return executions
-
-
-# Backwards-compatible name: the parallel executor *is* the work-stealing
-# scheduler now.
-ParallelSweepExecutor = WorkStealingSweepExecutor
 
 
 def usable_cpu_count() -> int:

@@ -440,12 +440,9 @@ class MaskedSumAggregator(Aggregator):
 
 _AGGREGATORS: dict[str, type[Aggregator]] = {
     "fedavg": FedAvgAggregator,
-    "mean": FedAvgAggregator,
     "median": CoordinateMedianAggregator,
-    "coordinate_median": CoordinateMedianAggregator,
     "trimmed_mean": TrimmedMeanAggregator,
     "masked_sum": MaskedSumAggregator,
-    "secure_agg": MaskedSumAggregator,
 }
 
 # Protocol aggregators live in repro.fl.secagg, which itself builds on
@@ -453,9 +450,7 @@ _AGGREGATORS: dict[str, type[Aggregator]] = {
 # registry complete without a circular import at package load.
 _LAZY_AGGREGATORS: dict[str, tuple[str, str]] = {
     "secagg": ("repro.fl.secagg.aggregators", "SecAggAggregator"),
-    "secagg_bonawitz": ("repro.fl.secagg.aggregators", "SecAggAggregator"),
     "secagg_oneshot": ("repro.fl.secagg.aggregators", "OneShotRecoveryAggregator"),
-    "lightsecagg": ("repro.fl.secagg.aggregators", "OneShotRecoveryAggregator"),
 }
 
 
@@ -469,10 +464,8 @@ def make_aggregator(spec: "str | type[Aggregator] | Aggregator" = "fedavg", **kw
 
     Accepts an :class:`Aggregator` instance (returned as-is; ``kwargs``
     must be empty), an ``Aggregator`` subclass, or one of the registered
-    names: ``fedavg``/``mean``, ``median``/``coordinate_median``,
-    ``trimmed_mean``, ``masked_sum``/``secure_agg``, and the protocol
-    rules ``secagg``/``secagg_bonawitz``, ``secagg_oneshot``/
-    ``lightsecagg``.
+    names: ``fedavg``, ``median``, ``trimmed_mean``, ``masked_sum``, and
+    the protocol rules ``secagg`` and ``secagg_oneshot``.
     """
     if isinstance(spec, Aggregator):
         if kwargs:

@@ -151,9 +151,6 @@ class EventQueue:
         self._keys.remove(key)
         return event
 
-    def peek(self) -> Event:
-        return self._heap[0][1]
-
     def __len__(self) -> int:
         return len(self._heap)
 

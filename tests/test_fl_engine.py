@@ -69,7 +69,7 @@ class LegacyRoundMixin:
     event engine replaced, kept here as the byte-identity reference.
     """
 
-    def _legacy_select_clients(self):
+    def _legacy_sample_clients(self):
         indices = self._rng.choice(
             len(self.fleet), size=self.clients_per_round, replace=False
         )
@@ -93,7 +93,7 @@ class LegacyRoundMixin:
 
         protocol_mode = getattr(self.aggregator, "requires_commitment", False)
         broadcast = self.prepare_broadcast()
-        selected = self._legacy_select_clients()
+        selected = self._legacy_sample_clients()
         active, dropped, stragglers = self._legacy_simulate_participation(
             selected
         )

@@ -173,7 +173,7 @@ class TestStoreResume:
         # large grid is the worse failure mode.
         path = tmp_path / "sweep.json"
         path.write_text("{not json")
-        with pytest.raises(SweepStoreError, match="corrupt"):
+        with pytest.raises(SweepStoreError, match="does not start with the"):
             SweepStore(path)
 
     def test_torn_tail_recovered_not_fatal(self, tmp_path):
@@ -206,16 +206,27 @@ class TestStoreResume:
         lines = path.read_bytes().splitlines(keepends=True)
         lines[1] = b'{"k": broken\n'
         path.write_bytes(b"".join(lines))
-        with pytest.raises(SweepStoreError, match="corrupt"):
+        with pytest.raises(SweepStoreError, match="damaged record at byte"):
             SweepStore(path)
 
     def test_foreign_json_detected(self, tmp_path):
-        # Valid JSON without the {"cells": {...}} shape is a foreign file;
-        # refusing protects it from being overwritten by the next put().
-        path = tmp_path / "sweep.json"
-        path.write_text('{"other": 1}')
-        with pytest.raises(SweepStoreError, match="cells"):
-            SweepStore(path)
+        # Any file without the log header — foreign JSON, an empty file, or
+        # a {"cells": {...}} snapshot — is refused on open, and its bytes
+        # are left untouched so the next put() cannot overwrite it.
+        cells = {"rtf|WO|full": {"mean_psnr": 1.0}}
+        contents = [
+            '{"other": 1}',
+            "",
+            json.dumps({"cells": cells}),
+            json.dumps({"cells": cells}, indent=2, sort_keys=True) + "\n",
+        ]
+        for index, content in enumerate(contents):
+            path = tmp_path / f"sweep-{index}.json"
+            path.write_text(content)
+            before = path.read_bytes()
+            with pytest.raises(SweepStoreError, match="does not start with the"):
+                SweepStore(path)
+            assert path.read_bytes() == before
 
     def test_memory_store_counts_hits_and_misses(self):
         store = SweepStore()
