@@ -264,8 +264,8 @@ def canonical_spec(spec: str) -> str:
     the *literal* arm string — two spellings of one configuration are two
     distinct arms there, each internally deterministic.  Keep the
     spelling stable between a run and its ``--resume``; this helper only
-    guarantees that direct ``make_defense``/``defense_from_name`` callers
-    (lineups, per-trial defenses) are spelling-invariant.
+    guarantees that direct ``make_defense`` callers (lineups, per-trial
+    defenses) are spelling-invariant.
     """
     stages = []
     for name, kwargs in parse_defense_spec(spec):

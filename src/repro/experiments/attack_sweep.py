@@ -15,14 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.data.synthetic import SyntheticImageDataset
+from repro.experiments.executors import is_failure, make_executor, run_tasks
 from repro.experiments.reporting import format_table
 from repro.experiments.runner import evaluate_attack_cell
-from repro.experiments.sweep import (
-    SweepStore,
-    dataset_fingerprint,
-    is_failure,
-    make_executor,
-)
+from repro.experiments.store import SweepStore, dataset_fingerprint
 
 PAPER_BATCH_SIZES = (8, 16, 32, 64, 96, 128, 160, 192, 224, 256)
 PAPER_NEURON_COUNTS = (100, 200, 300, 400, 500, 600, 700, 800, 900, 1000)
@@ -92,25 +88,19 @@ def run_sweep(
     the sweep.
     """
     store = store if store is not None else SweepStore()
-    store.recover_shards()
     executor = executor if executor is not None else make_executor(workers)
     data_key = f"{dataset.name}:{dataset_fingerprint(dataset)}"
-    grid = np.zeros((len(neuron_counts), len(batch_sizes)))
+    grid = np.full((len(neuron_counts), len(batch_sizes)), np.nan)
     tasks = []
     positions: dict[str, tuple[int, int]] = {}
     for i, num_neurons in enumerate(neuron_counts):
         for j, batch_size in enumerate(batch_sizes):
             if batch_size > len(dataset):
-                grid[i, j] = np.nan
                 continue
             key = (
                 f"fig34|{attack_name}|{data_key}|n{num_neurons}"
                 f"|B{batch_size}|t{num_trials}|s{seed}"
             )
-            cached = store.get(key)
-            if cached is not None:
-                grid[i, j] = cached
-                continue
             positions[key] = (i, j)
             tasks.append(
                 (
@@ -127,11 +117,10 @@ def run_sweep(
                 )
             )
     errors: dict[tuple[int, int], dict] = {}
-    executions = executor.run(tasks, store, shared={"dataset": dataset})
+    executions = run_tasks(tasks, store, executor, shared={"dataset": dataset})
     for key, execution in executions.items():
         i, j = positions[key]
         if is_failure(execution.result):
-            grid[i, j] = np.nan
             errors[(neuron_counts[i], batch_sizes[j])] = execution.result["error"]
         else:
             grid[i, j] = execution.result

@@ -19,18 +19,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.data.synthetic import SyntheticImageDataset
+from repro.defense.registry import make_defense
+from repro.experiments.executors import is_failure, make_executor, run_tasks
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import (
-    defense_from_name,
-    evaluate_attack_cell,
-    run_linear_trial,
-)
-from repro.experiments.sweep import (
-    SweepStore,
-    dataset_fingerprint,
-    is_failure,
-    make_executor,
-)
+from repro.experiments.runner import evaluate_attack_cell, run_linear_trial
+from repro.experiments.store import SweepStore, dataset_fingerprint
 
 # The paper's strongest-attack settings (read off Figs. 3-4, Sec. IV-A).
 PAPER_SETTINGS = {
@@ -109,10 +102,8 @@ def run_defense_lineup(
     instead of killing the lineup.
     """
     store = store if store is not None else SweepStore()
-    store.recover_shards()
     executor = executor if executor is not None else make_executor(workers)
     data_key = f"{dataset.name}:{dataset_fingerprint(dataset)}"
-    distributions: dict[str, np.ndarray] = {}
     tasks = []
     arms: dict[str, str] = {}
     for defense_name in lineup:
@@ -120,10 +111,6 @@ def run_defense_lineup(
             f"fig56|{attack_name}|{data_key}|B{batch_size}"
             f"|n{num_neurons}|{defense_name}|t{num_trials}|s{seed}"
         )
-        cached = store.get(key)
-        if cached is not None:
-            distributions[defense_name] = np.array(cached)
-            continue
         arms[key] = defense_name
         tasks.append(
             (
@@ -140,19 +127,16 @@ def run_defense_lineup(
                 },
             )
         )
+    distributions: dict[str, np.ndarray] = {}
     errors: dict[str, dict] = {}
-    executions = executor.run(tasks, store, shared={"dataset": dataset})
-    for key, defense_name in arms.items():
-        execution = executions[key]
+    executions = run_tasks(tasks, store, executor, shared={"dataset": dataset})
+    for key, execution in executions.items():
+        defense_name = arms[key]
         if is_failure(execution.result):
             distributions[defense_name] = np.array([])
             errors[defense_name] = execution.result["error"]
         else:
             distributions[defense_name] = np.array(execution.result)
-    # Preserve the lineup's arm order regardless of cache/compute split.
-    distributions = {
-        name: distributions[name] for name in lineup if name in distributions
-    }
     return DefenseLineupResult(
         attack=attack_name,
         dataset=dataset.name,
@@ -179,7 +163,7 @@ def run_linear_lineup(
             result = run_linear_trial(
                 dataset,
                 batch_size,
-                defense=defense_from_name(defense_name, seed=trial_seed),
+                defense=make_defense(defense_name, seed=trial_seed),
                 seed=trial_seed,
             )
             scores.extend(result.psnrs)

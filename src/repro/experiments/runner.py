@@ -21,6 +21,8 @@ from repro.attacks.registry import make_attack
 from repro.data.loaders import class_balanced_batch
 from repro.data.synthetic import SyntheticImageDataset
 from repro.defense.base import ClientDefense, NoDefense
+from repro.defense.registry import make_defense
+from repro.experiments.executors import worker_shared
 from repro.fl.gradients import compute_defended_update
 from repro.metrics.psnr import match_reconstructions, per_image_best_psnr
 from repro.nn.losses import CrossEntropyLoss, LogisticLoss
@@ -45,29 +47,13 @@ class AttackTrialResult:
         return float(np.mean(self.psnrs))
 
 
-def defense_from_name(name: str, seed: "int | None" = None) -> ClientDefense:
-    """Resolve a defense-arm spec string through the defense registry.
-
-    ``"WO"`` (no defense), OASIS suite names, gradient-space baselines
-    (``"dpsgd"``, ``"prune"``, ...), and composed stacks (``"MR>dpsgd"``)
-    all work — see :mod:`repro.defense.registry` for the grammar.  With
-    ``seed``, stochastic defenses get a private fingerprint-derived
-    generator so trials stay order-invariant.  Unknown names raise
-    :class:`~repro.defense.registry.UnknownDefenseError` (a ``ValueError``)
-    listing what is available.
-    """
-    from repro.defense.registry import make_defense
-
-    return make_defense(name, seed=seed)
-
-
 def evaluate_attack_cell(payload: dict):
     """Picklable process-pool entry: evaluate one attack-configuration cell.
 
-    The sweep executors (:mod:`repro.experiments.sweep`) dispatch tasks as
-    ``(store_key, fn, payload)`` triples to worker processes, so the work
-    function must live at module level.  This one covers both per-figure
-    harness shapes:
+    The sweep executors (:mod:`repro.experiments.executors`) dispatch
+    tasks as ``(store_key, fn, payload)`` triples to worker processes, so
+    the work function must live at module level.  This one covers both
+    per-figure harness shapes:
 
     - ``mode="average"`` (Fig. 3/4 grids): mean average-PSNR over
       ``num_trials`` independent trials — returns a float, the exact value
@@ -83,8 +69,6 @@ def evaluate_attack_cell(payload: dict):
     mode = payload.get("mode", "average")
     dataset = payload.get("dataset")
     if dataset is None:
-        from repro.experiments.sweep import worker_shared
-
         dataset = worker_shared()["dataset"]
     if mode == "average":
         overall, _ = average_over_trials(
@@ -109,7 +93,7 @@ def evaluate_attack_cell(payload: dict):
                 # (DP noise, transform-replace) must not thread one stream
                 # across trials, or the distribution would depend on how
                 # many trials ran before this one.
-                defense=defense_from_name(payload["defense"], seed=trial_seed),
+                defense=make_defense(payload["defense"], seed=trial_seed),
                 seed=trial_seed,
             )
             scores.extend(result.psnrs)

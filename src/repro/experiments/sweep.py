@@ -13,26 +13,14 @@ module provides that engine:
   :class:`~repro.fl.DishonestServer` with ``target_client_id=None`` (every
   arriving update is inverted — the multi-victim regime), and scores all
   reconstructions with the vectorized pairwise-PSNR matcher.
-- :class:`SweepStore` is a resumable result store built for million-cell
-  grids: an append-only record log where each finished cell costs O(1)
-  bytes to persist and only a ``key -> offset`` index stays in memory;
-  values are read back lazily and :meth:`SweepStore.iter_cells` streams
-  the grid without materializing it.  Completed runs compact the log
-  into canonical sorted-key order.  The per-figure harnesses
-  (``attack_sweep``, ``defense_eval``) share the same store for their
-  own grids.
-- :class:`SerialSweepExecutor` / :class:`WorkStealingSweepExecutor` decide
-  *how* the pending cells run: in-process, or pulled by worker processes
-  from a shared task queue — a worker takes its next cell the moment it
-  finishes the last, so wildly uneven cell costs (trap attacks vs linear
-  cells) never leave workers idle.  Each worker persists finished cells
-  to a per-worker **shard** store (``<store>.shards/shard-<pid>.json``)
-  merged into the main store on completion.  A run killed mid-sweep
-  leaves its shards behind; the next run (serial or parallel) recovers
-  them via :meth:`SweepStore.recover_shards` before computing anything,
-  quarantining any corrupt shard instead of abandoning the good ones.
-  :func:`make_executor` adapts the worker count to the usable cores
-  instead of oversubscribing, degrading to serial on 1-core hosts.
+
+Results persist in a :class:`~repro.experiments.store.SweepStore`, and
+:meth:`SweepRunner.run` goes through
+:func:`~repro.experiments.executors.run_tasks`, the cached-execution path
+the per-figure harnesses (``attack_sweep``, ``defense_eval``) share:
+stored cells are served, the rest run serially or on work-stealing
+worker processes, and a killed parallel run's shards are recovered
+before anything is computed.
 
 Determinism is the load-bearing property: every cell's randomness derives
 from :func:`repro.utils.rng.derive_seed` keyed by the cell's configuration
@@ -85,17 +73,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import multiprocessing
-import os
-import queue as queue_module
-import sys
-import time
-import traceback
-import warnings
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -116,26 +97,19 @@ from repro.defense.registry import (
     split_spec_list,
     validate_defense_spec,
 )
+from repro.experiments.executors import (
+    CellEvent,
+    ProgressCallback,
+    is_failure,
+    make_executor,
+    run_tasks,
+    worker_shared,
+)
 from repro.experiments.reporting import format_table
+from repro.experiments.store import SweepStore, dataset_fingerprint
 from repro.fl.simulator import FederatedSimulation, FederationConfig
 from repro.metrics.psnr import match_reconstructions
-from repro.utils.checkpoint import atomic_write_lines
 from repro.utils.rng import derive_seed
-
-
-def dataset_fingerprint(dataset: SyntheticImageDataset) -> str:
-    """Short content digest of a dataset, for cache keys.
-
-    Covers the name, shapes, and the actual pixel/label bytes: two
-    datasets that merely share a name (same generator, different seed)
-    must never serve each other's cached results.
-    """
-    digest = hashlib.sha256()
-    digest.update(dataset.name.encode())
-    digest.update(repr(dataset.images.shape).encode())
-    digest.update(np.ascontiguousarray(dataset.images).tobytes())
-    digest.update(np.ascontiguousarray(dataset.labels).tobytes())
-    return digest.hexdigest()[:12]
 
 
 @dataclass(frozen=True)
@@ -312,709 +286,6 @@ class SweepCell:
         return f"{self.attack}|{self.defense}|{self.scenario}"
 
 
-class SweepStoreError(RuntimeError):
-    """A sweep store file exists but cannot be trusted (corrupt/foreign)."""
-
-
-# On-disk format of the scalable store: line 1 is this header, every
-# further line is one {"k": key, "v": value} record, last record wins.
-STORE_FORMAT = "oasis-sweep-log-v1"
-_STORE_HEADER = json.dumps(
-    {"format": STORE_FORMAT}, sort_keys=True, separators=(",", ":")
-)
-
-
-def _record_line(key: str, value) -> str:
-    """Canonical serialized form of one cell record."""
-    return json.dumps(
-        {"k": key, "v": value}, sort_keys=True, separators=(",", ":")
-    )
-
-
-class ShardRecovery(NamedTuple):
-    """What :meth:`SweepStore.recover_shards` found: absorbed cells and
-    corrupt shard files quarantined as ``*.corrupt``."""
-
-    recovered: int
-    quarantined: int
-
-
-class SweepStore:
-    """Resumable append-only log store of finished cells.
-
-    Built for million-cell grids: a :meth:`put` *appends* one record line
-    to the backing log — O(1) bytes per cell — and only the ``key -> byte
-    offset`` index lives in memory; cell values stay on disk and are parsed
-    on demand (:meth:`get`, :meth:`iter_cells`), so holding a 10^6-cell
-    store open costs the index, not the grid.
-
-    The file format is line-oriented: a header line naming
-    :data:`STORE_FORMAT`, then one ``{"k": ..., "v": ...}`` JSON record
-    per line, last record per key winning.  A process killed mid-append
-    leaves at most one torn final line, which the next open silently drops
-    (that cell simply recomputes); damage *before* intact records — which
-    no crash of this writer can produce — raises :class:`SweepStoreError`
-    rather than silently recomputing a large grid.  :meth:`compact`
-    rewrites the log atomically in canonical sorted-key order; executors
-    compact on completion, which is what keeps serial, work-stolen
-    parallel, and resumed stores **byte-identical**.
-
-    An existing file whose first line is not the :data:`STORE_FORMAT`
-    header raises :class:`SweepStoreError` on open and is left
-    byte-for-byte unchanged.  With ``path=None`` the store is
-    memory-only — same interface, no persistence.
-    """
-
-    def __init__(self, path: "str | Path | None" = None) -> None:
-        self.path = Path(path) if path is not None else None
-        self.hits = 0
-        self.misses = 0
-        # key -> (offset, length) into the log file, or None when the
-        # value lives in _mem (memory-only store).
-        self._where: "dict[str, tuple[int, int] | None]" = {}
-        self._mem: dict[str, object] = {}
-        self._read_handle = None
-        self._append_handle = None
-        self._data_end = 0  # end of the last intact record (torn tails cut)
-        if self.path is not None and self.path.exists():
-            self._load_existing()
-
-    # -- loading -----------------------------------------------------------
-
-    def _load_existing(self) -> None:
-        path = self.path
-        try:
-            with open(path, "rb") as handle:
-                first_line = handle.readline()
-        except OSError as error:
-            raise SweepStoreError(
-                f"sweep store {path} exists but cannot be read: {error}"
-            ) from error
-        try:
-            header = json.loads(first_line)
-        except ValueError:
-            header = None
-        if not isinstance(header, dict) or header.get("format") != STORE_FORMAT:
-            raise SweepStoreError(
-                f"sweep store {path} does not start with the "
-                f"{STORE_FORMAT!r} header (first line: "
-                f"{first_line[:80].decode('utf-8', 'replace')!r}); refusing "
-                "to read or overwrite a file this module did not write — "
-                "delete or move it first"
-            )
-        self._where, self._data_end = self._scan_log(path)
-
-    @staticmethod
-    def _scan_log(path: Path) -> "tuple[dict[str, tuple[int, int]], int]":
-        """Index a log file: ``key -> (offset, length)`` plus the end of
-        the last intact record.
-
-        A final line that is incomplete (no newline) or unparsable is a
-        torn append from a crash and is dropped; a damaged line with
-        intact records *after* it means the file was edited or corrupted
-        by something other than this writer, and raises.
-        """
-        where: "dict[str, tuple[int, int]]" = {}
-        with open(path, "rb") as handle:
-            header = handle.readline()
-            offset = len(header)
-            data_end = offset
-            torn_at: Optional[int] = None
-            while True:
-                line = handle.readline()
-                if not line:
-                    break
-                if torn_at is not None:
-                    raise SweepStoreError(
-                        f"sweep store {path} is corrupt: damaged record at "
-                        f"byte {torn_at} with intact records after it — "
-                        "this writer's crashes only ever tear the final "
-                        "line; delete or restore the file"
-                    )
-                start = offset
-                offset += len(line)
-                if not line.endswith(b"\n"):
-                    torn_at = start
-                    continue
-                try:
-                    record = json.loads(line)
-                except ValueError:
-                    torn_at = start
-                    continue
-                if not (
-                    isinstance(record, dict)
-                    and isinstance(record.get("k"), str)
-                    and "v" in record
-                ):
-                    torn_at = start
-                    continue
-                where[record["k"]] = (start, len(line))
-                data_end = offset
-        return where, data_end
-
-    # -- reads -------------------------------------------------------------
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._where
-
-    def __len__(self) -> int:
-        return len(self._where)
-
-    def get(self, key: str):
-        """Return the cached value for ``key`` (None on miss), counting."""
-        if key not in self._where:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return self._value(key)
-
-    def _value(self, key: str):
-        location = self._where[key]
-        if location is None:
-            return self._mem[key]
-        offset, length = location
-        if self._read_handle is None:
-            self._read_handle = open(self.path, "rb")
-        self._read_handle.seek(offset)
-        return json.loads(self._read_handle.read(length))["v"]
-
-    def keys(self) -> list[str]:
-        """All cached cell keys (file order; sorted after a compaction)."""
-        return list(self._where)
-
-    def iter_cells(self):
-        """Stream ``(key, value)`` pairs in sorted key order.
-
-        Values are read from disk one record at a time, so iterating a
-        million-cell store never materializes the grid; this is what
-        streaming reporting builds on.
-        """
-        for key in sorted(self._where):
-            yield key, self._value(key)
-
-    # -- writes ------------------------------------------------------------
-
-    def put(self, key: str, value) -> None:
-        """Record ``key``, appending one log record (O(1) bytes)."""
-        if self.path is None:
-            self._mem[key] = value
-            self._where[key] = None
-            return
-        self._append({key: value})
-
-    def update(self, mapping: dict) -> None:
-        """Record many cells with a single buffered append."""
-        if not mapping:
-            return
-        if self.path is None:
-            self._mem.update(mapping)
-            self._where.update(dict.fromkeys(mapping))
-            return
-        self._append(mapping)
-
-    def _append(self, mapping: dict) -> None:
-        handle = self._appender()
-        offset = self._data_end
-        buffer = bytearray()
-        for key, value in mapping.items():
-            line = (_record_line(key, value) + "\n").encode("utf-8")
-            self._where[key] = (offset, len(line))
-            offset += len(line)
-            buffer += line
-        handle.seek(self._data_end)
-        handle.write(buffer)
-        handle.flush()
-        self._data_end = offset
-
-    def _appender(self):
-        if self._append_handle is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            if self.path.exists():
-                # repro-lint: disable=no-raw-write -- the append-only log is the one deliberate non-atomic writer: a put() appends O(1) bytes, a crash tears at most the final line (dropped on the next open), and compact() IS the atomic rewrite (atomic_write_lines)
-                self._append_handle = open(self.path, "r+b")
-                # Cut any torn tail a crash left so the next record
-                # starts on a clean line.
-                if self.path.stat().st_size > self._data_end:
-                    self._append_handle.truncate(self._data_end)
-            else:
-                # repro-lint: disable=no-raw-write -- creating the fresh log file for O(1) appends; same crash contract as above, compaction is the atomic path
-                self._append_handle = open(self.path, "w+b")
-                header = (_STORE_HEADER + "\n").encode("utf-8")
-                self._append_handle.write(header)
-                self._append_handle.flush()
-                self._data_end = len(header)
-        return self._append_handle
-
-    def compact(self) -> None:
-        """Atomically rewrite the log in canonical sorted-key order.
-
-        Executors call this once per completed run: compaction is what
-        turns "same mapping" into "same bytes", making serial, parallel,
-        and resumed stores byte-identical regardless of the order cells
-        finished (and it drops superseded duplicate records).
-        """
-        if self.path is None:
-            return
-        if not self._where and not self.path.exists():
-            return  # nothing ever persisted; don't create an empty file
-        keys = sorted(self._where)
-        new_where: "dict[str, tuple[int, int] | None]" = {}
-
-        def lines():
-            offset = len(_STORE_HEADER) + 1
-            yield _STORE_HEADER
-            for key in keys:
-                line = _record_line(key, self._value(key))
-                length = len(line.encode("utf-8")) + 1
-                new_where[key] = (offset, length)
-                offset += length
-                yield line
-
-        atomic_write_lines(self.path, lines())
-        self.close()
-        self._where = new_where
-        self._data_end = (
-            len(_STORE_HEADER) + 1
-            + sum(length for _, length in new_where.values())
-        )
-
-    def close(self) -> None:
-        """Close file handles (reopened lazily on the next access)."""
-        for handle in (self._read_handle, self._append_handle):
-            if handle is not None:
-                try:
-                    handle.close()
-                except OSError:
-                    pass
-        self._read_handle = None
-        self._append_handle = None
-
-    def __del__(self):  # pragma: no cover - interpreter-shutdown best effort
-        try:
-            self.close()
-        except Exception:
-            pass
-
-    # -- shard support (parallel execution / crash recovery) ---------------
-
-    @staticmethod
-    def shard_directory_for(path: "str | Path") -> Path:
-        """The shard directory belonging to a store at ``path``."""
-        path = Path(path)
-        return path.with_name(path.name + ".shards")
-
-    def shard_directory(self) -> Optional[Path]:
-        """Where parallel workers persist this store's in-flight shards."""
-        if self.path is None:
-            return None
-        return self.shard_directory_for(self.path)
-
-    def recover_shards(self) -> ShardRecovery:
-        """Absorb shards left behind by a killed parallel run.
-
-        Every cell found in a readable shard is a finished result; each
-        shard is merged into this store (existing keys win — they are the
-        same results) and its file is removed **only after** the absorbing
-        append has durably landed in the main store, so a crash or a
-        failed persist mid-recovery never deletes results it has not
-        saved.  A shard that cannot be parsed (beyond the torn final line
-        every crash may leave, which is dropped silently) is quarantined —
-        renamed to ``<shard>.corrupt`` — instead of abandoning the
-        readable shards behind it.  Returns both counts; memory-only
-        stores have no shards and recover nothing.
-        """
-        directory = self.shard_directory()
-        if directory is None or not directory.is_dir():
-            return ShardRecovery(0, 0)
-        recovered = 0
-        quarantined = 0
-        for shard in sorted(directory.glob("shard-*.json")):
-            try:
-                shard_store = SweepStore(shard)
-                fresh = {
-                    key: value
-                    for key, value in shard_store.iter_cells()
-                    if key not in self._where
-                }
-                shard_store.close()
-            except SweepStoreError as error:
-                quarantine = shard.with_name(shard.name + ".corrupt")
-                shard.rename(quarantine)
-                quarantined += 1
-                warnings.warn(
-                    f"quarantined corrupt sweep shard {shard} -> "
-                    f"{quarantine}: {error}",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                continue
-            self.update(fresh)  # raises before the unlink on a failed persist
-            recovered += len(fresh)
-            if self.path is not None:
-                shard.unlink()
-        try:
-            directory.rmdir()
-        except OSError:
-            pass  # quarantined/unrelated files present; leave the directory
-        return ShardRecovery(recovered, quarantined)
-
-
-# --------------------------------------------------------------------------
-# Execution engine: serial and process-pool executors over pending cells.
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CellExecution:
-    """What one executed task produced: its result and wall-clock cost."""
-
-    result: object
-    elapsed_s: float
-
-
-@dataclass(frozen=True)
-class CellEvent:
-    """One progress notification: a task finished (or was served cached).
-
-    ``completed``/``total`` count within the emitting stage — the cache
-    scan for ``"cached"`` events, the executor's task list otherwise.
-    """
-
-    key: str
-    status: str  # "cached" | "done" | "failed"
-    elapsed_s: float
-    completed: int
-    total: int
-    error: Optional[dict] = None
-
-
-ProgressCallback = Callable[[CellEvent], None]
-
-
-def is_failure(result) -> bool:
-    """True when ``result`` is a structured task failure, not a value."""
-    return isinstance(result, dict) and "error" in result
-
-
-def _structured_error(error: BaseException) -> dict:
-    """A JSON-able record of a task failure (kept out of the store)."""
-    return {
-        "error": {
-            "type": type(error).__name__,
-            "message": str(error),
-            "traceback": traceback.format_exc(),
-        }
-    }
-
-
-def _guarded(fn, payload) -> tuple[object, float]:
-    """Run one task, converting any exception into a structured failure."""
-    start = time.perf_counter()
-    try:
-        result = fn(payload)
-    except Exception as error:  # noqa: BLE001 - one cell must not kill the sweep
-        result = _structured_error(error)
-    return result, time.perf_counter() - start
-
-
-def _notify(
-    progress: Optional[ProgressCallback],
-    key: str,
-    result,
-    elapsed_s: float,
-    completed: int,
-    total: int,
-) -> None:
-    if progress is None:
-        return
-    failed = is_failure(result)
-    progress(
-        CellEvent(
-            key=key,
-            status="failed" if failed else "done",
-            elapsed_s=elapsed_s,
-            completed=completed,
-            total=total,
-            error=result["error"] if failed else None,
-        )
-    )
-
-
-# Per-worker state, installed by the pool initializer (or directly by the
-# serial executor).  Module-level because multiprocessing workers can only
-# reach module-level state: the shard store this worker persists to, and
-# the run-wide shared object (e.g. the dataset/runner spec) shipped once
-# per worker instead of once per task.
-_WORKER_SHARD: Optional[SweepStore] = None
-_WORKER_SHARED: object = None
-
-
-def worker_shared():
-    """The run-wide shared object passed to ``executor.run(..., shared=)``.
-
-    Task functions call this to reach heavyweight run-constant state (a
-    dataset, a runner spec) without it riding inside every task payload.
-    """
-    return _WORKER_SHARED
-
-
-def _initialize_worker(shard_dir: Optional[str], shared) -> None:
-    global _WORKER_SHARD, _WORKER_SHARED
-    if shard_dir is not None:
-        _WORKER_SHARD = SweepStore(Path(shard_dir) / f"shard-{os.getpid()}.json")
-    _WORKER_SHARED = shared
-
-
-class SerialSweepExecutor:
-    """Run tasks one after another in-process, persisting as each finishes.
-
-    The reference executor: zero parallelism overhead, finest-grained
-    resume (the store log is appended after every single cell).
-    """
-
-    workers = 1
-
-    def run(
-        self,
-        tasks: Sequence[tuple],
-        store: SweepStore,
-        progress: Optional[ProgressCallback] = None,
-        shared=None,
-    ) -> dict[str, CellExecution]:
-        global _WORKER_SHARED
-        previous = _WORKER_SHARED
-        _WORKER_SHARED = shared
-        try:
-            executions: dict[str, CellExecution] = {}
-            for index, (key, fn, payload) in enumerate(tasks):
-                result, elapsed = _guarded(fn, payload)
-                if not is_failure(result):
-                    store.put(key, result)
-                executions[key] = CellExecution(result, elapsed)
-                _notify(progress, key, result, elapsed, index + 1, len(tasks))
-            store.compact()
-            return executions
-        finally:
-            _WORKER_SHARED = previous
-            # Don't retain the last sweep's dataset/runner in a long-lived
-            # process; pool workers die with theirs, the serial path must
-            # drop its own.
-            _RUNNER_CACHE.clear()
-
-
-def _execute_task(task: tuple) -> tuple[str, object, float]:
-    """Worker entry: run one task, persist success to this worker's shard."""
-    key, fn, payload = task
-    result, elapsed = _guarded(fn, payload)
-    if _WORKER_SHARD is not None and not is_failure(result):
-        _WORKER_SHARD.put(key, result)
-    return key, result, elapsed
-
-
-def _worker_main(task_queue, result_queue, shard_dir, shared) -> None:
-    """Work-stealing worker loop: pull tasks until the sentinel arrives.
-
-    Each finished cell is appended to this worker's shard store *before*
-    its result is reported back, so a parent killed mid-run loses nothing
-    the workers completed.
-    """
-    _initialize_worker(shard_dir, shared)
-    try:
-        while True:
-            task = task_queue.get()
-            if task is None:
-                break
-            result_queue.put(_execute_task(task))
-    finally:
-        if _WORKER_SHARD is not None:
-            _WORKER_SHARD.close()
-
-
-class WorkStealingSweepExecutor:
-    """Fan tasks out to worker processes that pull from a shared queue.
-
-    The former executor handed a process pool one future per cell; this
-    one makes the pull explicit and lock-free for the caller: every worker
-    draws its next cell from one shared queue the moment it finishes the
-    last, so uneven cell costs (a trap-attack cell can cost many times a
-    linear one) never leave a worker idle while another drags a long
-    chunk — the degenerate, always-correct form of work stealing where
-    the global queue is every thief's victim.
-
-    Persistence is sharded: each worker appends finished cells to its own
-    log-backed shard store (``<store>.shards/shard-<pid>.json``), so no
-    two processes write one file and a killed run's completed cells
-    survive for :meth:`SweepStore.recover_shards`.  On completion the
-    parent merges all results into the main store, absorbs shards, and
-    compacts — producing bytes identical to a serial run, because every
-    cell's randomness is keyed by its configuration fingerprint, never by
-    which worker ran it or in what order.
-
-    Task exceptions become structured failure results; a worker that dies
-    *without* raising (OOM-kill, segfault) surfaces as
-    :class:`concurrent.futures.process.BrokenProcessPool` once the
-    remaining workers drain the queue, and the dead run's shards remain
-    for the next run to recover.
-
-    Parameters
-    ----------
-    workers:
-        Worker-process count; capped at the number of pending tasks.
-        Construct directly to force a count; :func:`make_executor` caps
-        requests at the usable cores instead of oversubscribing.
-    start_method:
-        ``multiprocessing`` start method; default is ``fork`` on Linux
-        (cheap, inherits loaded numpy) and the platform default elsewhere
-        (forking after BLAS/framework init is unsafe on macOS).
-    """
-
-    def __init__(self, workers: int, start_method: Optional[str] = None) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        self.workers = workers
-        self.start_method = start_method
-
-    def _context(self):
-        if self.start_method is not None:
-            return multiprocessing.get_context(self.start_method)
-        if sys.platform == "linux":
-            return multiprocessing.get_context("fork")
-        return multiprocessing.get_context()
-
-    def run(
-        self,
-        tasks: Sequence[tuple],
-        store: SweepStore,
-        progress: Optional[ProgressCallback] = None,
-        shared=None,
-    ) -> dict[str, CellExecution]:
-        if not tasks:
-            store.compact()  # resumed byte-identity even with nothing to do
-            return {}
-        shard_dir = store.shard_directory()
-        if shard_dir is not None:
-            shard_dir.mkdir(parents=True, exist_ok=True)
-        context = self._context()
-        task_queue = context.Queue()
-        result_queue = context.Queue()
-        for task in tasks:
-            task_queue.put(task)
-        workers = min(self.workers, len(tasks))
-        for _ in range(workers):
-            task_queue.put(None)  # one shutdown sentinel per worker
-        processes = [
-            context.Process(
-                target=_worker_main,
-                args=(
-                    task_queue,
-                    result_queue,
-                    str(shard_dir) if shard_dir is not None else None,
-                    shared,
-                ),
-                daemon=True,
-            )
-            for _ in range(workers)
-        ]
-        executions: dict[str, CellExecution] = {}
-
-        def absorb(item) -> None:
-            key, result, elapsed = item
-            executions[key] = CellExecution(result, elapsed)
-            _notify(progress, key, result, elapsed, len(executions), len(tasks))
-
-        try:
-            for process in processes:
-                process.start()
-            while len(executions) < len(tasks):
-                try:
-                    absorb(result_queue.get(timeout=0.1))
-                except queue_module.Empty:
-                    if any(process.is_alive() for process in processes):
-                        continue
-                    # Every worker exited; drain what they flushed before
-                    # deciding whether someone died holding a task.
-                    while len(executions) < len(tasks):
-                        try:
-                            absorb(result_queue.get(timeout=0.2))
-                        except queue_module.Empty:
-                            break
-                    if len(executions) < len(tasks):
-                        raise BrokenProcessPool(
-                            f"{len(tasks) - len(executions)} sweep task(s) "
-                            "never returned: a worker died without raising "
-                            "(OOM-kill or segfault); cells it finished "
-                            "survive in its shard for the next run to "
-                            "recover"
-                        )
-        finally:
-            # Unread tasks (broken-pool or interrupt path) must not block
-            # the parent on the queue's feeder thread.
-            task_queue.cancel_join_thread()
-            for process in processes:
-                process.join(timeout=5.0)
-            for process in processes:
-                if process.is_alive():
-                    process.terminate()
-                    process.join(timeout=5.0)
-            task_queue.close()
-            result_queue.close()
-        store.update(
-            {
-                key: execution.result
-                for key, execution in executions.items()
-                if not is_failure(execution.result)
-            }
-        )
-        # Absorb-and-remove every shard through the store's own recovery
-        # path: our workers' shards hold keys just merged (skipped), while
-        # shards a *previous* killed run left behind are merged too —
-        # never deleted unmerged.
-        store.recover_shards()
-        store.compact()
-        return executions
-
-
-def usable_cpu_count() -> int:
-    """Cores this process may actually run on (affinity-aware)."""
-    if hasattr(os, "sched_getaffinity"):
-        try:
-            return max(1, len(os.sched_getaffinity(0)))
-        except OSError:  # pragma: no cover - exotic platforms
-            pass
-    return os.cpu_count() or 1
-
-
-def make_executor(
-    workers: "int | None" = 1, start_method: Optional[str] = None
-):
-    """Build the right executor for ``workers``, never oversubscribing.
-
-    ``None`` (or ``"auto"``) asks for every usable core.  A request
-    beyond the usable cores is reduced with a warning — forcing 4 workers
-    onto a 1-core host once *recorded a 0.29x "speedup"* in
-    BENCH_sweep_parallel — and a request that lands at one worker
-    degrades to the :class:`SerialSweepExecutor`, which beats a
-    single-worker process pool by construction.  Construct
-    :class:`WorkStealingSweepExecutor` directly to force a worker count
-    (tests do, to exercise multi-process paths on small hosts).
-    """
-    cap = usable_cpu_count()
-    if workers is None or workers == "auto":
-        workers = cap
-    workers = int(workers)
-    if workers > cap:
-        warnings.warn(
-            f"requested {workers} sweep workers but only {cap} usable "
-            f"core(s); reducing to {cap} (oversubscribed process pools "
-            "run *slower* than serial)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        workers = cap
-    if workers <= 1:
-        return SerialSweepExecutor()
-    return WorkStealingSweepExecutor(workers, start_method=start_method)
-
 
 @dataclass
 class SweepOutcome:
@@ -1083,26 +354,19 @@ class SweepOutcome:
         return format_table(["attack/scenario"] + list(defenses), rows)
 
 
-# Single-slot cache of the runner rebuilt from the shared spec, so one
-# worker serving many cells of the same sweep pays the rebuild (and the
-# dataset fingerprint hash) once.  Keyed by spec *identity* — the cached
-# tuple keeps the spec alive, so an `is` hit can never alias a new spec.
-_RUNNER_CACHE: list = []
-
-
 def _sweep_cell_task(cell: SweepCell) -> dict:
     """Picklable pool entry: run one cell of the shared runner spec.
 
     The spec (including the dataset) arrives through :func:`worker_shared`
-    — shipped once per worker by the executor, not once per task.
+    — shipped once per worker by the executor, not once per task.  The
+    runner rebuilt from it is kept in the same per-run dict, so a worker
+    serving many cells pays the rebuild (and the dataset fingerprint
+    hash) once.
     """
-    spec = worker_shared()["spec"]
-    if _RUNNER_CACHE and _RUNNER_CACHE[0][0] is spec:
-        runner = _RUNNER_CACHE[0][1]
-    else:
-        runner = SweepRunner(**spec)
-        _RUNNER_CACHE[:] = [(spec, runner)]
-    return runner.run_cell(cell)
+    shared = worker_shared()
+    if "runner" not in shared:
+        shared["runner"] = SweepRunner(**shared["spec"])
+    return shared["runner"].run_cell(cell)
 
 
 class SweepRunner:
@@ -1112,14 +376,10 @@ class SweepRunner:
     dishonest server invert *every* arriving update for ``rounds`` rounds,
     and scores all reconstructions against the emitting client's private
     batch with the vectorized matcher.  Cell results are cached in a
-    :class:`SweepStore` keyed by the cell coordinates plus a fingerprint
-    of the full configuration (see :meth:`store_key`), making long sweeps
-    resumable without ever serving results from a different setup.
-
-    :meth:`run` decomposes into three stages any caller can drive
-    separately: :meth:`cells` (enumerate the grid), :meth:`execute` (run
-    pending cells through an executor — serial or process-pool), and
-    :meth:`collect` (assemble a :class:`SweepOutcome` in grid order).
+    :class:`~repro.experiments.store.SweepStore` keyed by the cell
+    coordinates plus a fingerprint of the full configuration (see
+    :meth:`store_key`), making long sweeps resumable without ever serving
+    results from a different setup.
 
     Parameters
     ----------
@@ -1131,8 +391,11 @@ class SweepRunner:
         variants, or composed stacks like ``"MR>dpsgd"`` (see
         :mod:`repro.defense.registry`); scenarios are
         :class:`ParticipationScenario` entries with unique names.
+    rounds:
+        Federation rounds per cell; at least one.
     store:
-        A :class:`SweepStore`, a path for one, or None for memory-only.
+        A :class:`~repro.experiments.store.SweepStore`, a path for one, or
+        None for memory-only.
     """
 
     def __init__(
@@ -1150,6 +413,8 @@ class SweepRunner:
     ) -> None:
         if not attacks or not defenses or not scenarios:
             raise ValueError("every grid axis needs at least one entry")
+        if rounds < 1:
+            raise ValueError(f"rounds must be >= 1, got {rounds}")
         names = [scenario.name for scenario in scenarios]
         for axis_label, axis in (
             ("attacks", list(attacks)),
@@ -1337,43 +602,34 @@ class SweepRunner:
             "rounds": self.rounds,
         }
 
-    def execute(
+    def run(
         self,
-        cells: Sequence[SweepCell],
         executor=None,
         progress: Optional[ProgressCallback] = None,
-    ) -> dict[str, CellExecution]:
-        """Run ``cells`` through ``executor`` (serial when None).
-
-        Successful results are persisted to the store by the executor;
-        failures are returned but never persisted, so they retry on the
-        next run.  Returns ``store_key -> CellExecution``.
-        """
-        executor = executor if executor is not None else SerialSweepExecutor()
-        tasks = [
-            (self.store_key(cell), _sweep_cell_task, cell) for cell in cells
-        ]
-        return executor.run(
-            tasks, self.store, progress, shared={"spec": self.spec()}
-        )
-
-    def collect(
-        self,
-        cells: Sequence[SweepCell],
-        executions: dict[str, CellExecution],
-        cached: Optional[dict[str, dict]] = None,
     ) -> SweepOutcome:
-        """Assemble the outcome in grid order from executed + cached cells."""
-        cached = cached or {}
+        """Evaluate the whole grid, serving finished cells from the store.
+
+        The cells go through :func:`~repro.experiments.executors.run_tasks`
+        (serial in-process when ``executor`` is None), and the outcome
+        lists them in grid order.  Successes are persisted; failures are
+        reported but never persisted, so they retry on the next run.
+        """
+        grid = self.cells()
+        keys = [self.store_key(cell) for cell in grid]
+        executions = run_tasks(
+            [(key, _sweep_cell_task, cell) for key, cell in zip(keys, grid)],
+            self.store,
+            executor,
+            progress,
+            shared={"spec": self.spec()},
+        )
         outcome = SweepOutcome()
-        for cell in cells:
-            if cell.key in cached:
-                outcome.results[cell.key] = cached[cell.key]
-                outcome.cached.append(cell.key)
-                continue
-            execution = executions[self.store_key(cell)]
+        for cell, key in zip(grid, keys):
+            execution = executions[key]
             result = execution.result
-            if is_failure(result):
+            if execution.cached:
+                outcome.cached.append(cell.key)
+            elif is_failure(result):
                 result = {
                     "attack": cell.attack,
                     "defense": cell.defense,
@@ -1383,44 +639,10 @@ class SweepRunner:
                 outcome.failed.append(cell.key)
             else:
                 outcome.computed.append(cell.key)
+            if not execution.cached:
+                outcome.timings[cell.key] = execution.elapsed_s
             outcome.results[cell.key] = result
-            outcome.timings[cell.key] = execution.elapsed_s
         return outcome
-
-    def run(
-        self,
-        executor=None,
-        progress: Optional[ProgressCallback] = None,
-    ) -> SweepOutcome:
-        """Evaluate the whole grid, serving finished cells from the store.
-
-        Recovers any shards a killed parallel run left behind, scans the
-        store for finished cells, fans the rest out through ``executor``
-        (serial in-process when None), and collects everything in grid
-        order.
-        """
-        self.store.recover_shards()
-        grid = self.cells()
-        cached_results: dict[str, dict] = {}
-        pending: list[SweepCell] = []
-        for cell in grid:
-            cached = self.store.get(self.store_key(cell))
-            if cached is not None:
-                cached_results[cell.key] = cached
-                if progress is not None:
-                    progress(
-                        CellEvent(
-                            key=self.store_key(cell),
-                            status="cached",
-                            elapsed_s=0.0,
-                            completed=len(cached_results),
-                            total=len(grid),
-                        )
-                    )
-            else:
-                pending.append(cell)
-        executions = self.execute(pending, executor, progress)
-        return self.collect(grid, executions, cached_results)
 
 
 def headline_ordering_holds(
@@ -1501,7 +723,36 @@ def scenario_to_dict(scenario: ParticipationScenario) -> dict:
 # --------------------------------------------------------------------------
 
 
-def _smoke_runner(
+# The preset grids: how each builds its dataset, then its default axes
+# and sizes.  smoke is the 2-cell sanity grid (seconds), default the
+# 8-cell working grid, acceptance the 24-cell grid on the CIFAR100
+# stand-in (minutes).
+_PRESETS: dict[str, tuple[Callable[[], SyntheticImageDataset], dict]] = {
+    "smoke": (
+        partial(make_synthetic_dataset, 4, 12, image_size=8, seed=3,
+                name="smoke-grid"),
+        dict(attacks=("rtf",), defenses=("WO", "MR"),
+             scenarios=(ParticipationScenario("full", num_clients=2),),
+             batch_size=3, num_neurons=48, public_size=48),
+    ),
+    "default": (
+        partial(make_synthetic_dataset, 6, 16, image_size=16, seed=5,
+                name="default-grid"),
+        dict(attacks=("rtf",), defenses=("WO", "MR", "SH", "MR+SH"),
+             scenarios=DEFAULT_SCENARIOS[:2],
+             batch_size=4, num_neurons=64, public_size=64),
+    ),
+    "acceptance": (
+        partial(synthetic_cifar100, samples_per_class=2, seed=2002),
+        dict(attacks=("rtf", "cah"), defenses=("WO", "MR", "SH", "MR+SH"),
+             scenarios=DEFAULT_SCENARIOS[:3],
+             batch_size=4, num_neurons=64, public_size=100),
+    ),
+}
+
+
+def _preset_runner(
+    name: str,
     seed: int,
     rounds: int,
     store,
@@ -1509,67 +760,16 @@ def _smoke_runner(
     defenses: Optional[Sequence[str]] = None,
     scenarios: Optional[Sequence[ParticipationScenario]] = None,
 ) -> SweepRunner:
-    """2-cell sanity grid: rtf x (WO, MR) x full participation, seconds."""
-    dataset = make_synthetic_dataset(
-        4, 12, image_size=8, seed=3, name="smoke-grid"
-    )
+    """Preset ``name``'s runner; each given axis replaces the preset's."""
+    make_dataset, defaults = _PRESETS[name]
     return SweepRunner(
-        dataset,
-        attacks=attacks or ("rtf",),
-        defenses=defenses or ("WO", "MR"),
-        scenarios=scenarios or (ParticipationScenario("full", num_clients=2),),
-        batch_size=3,
-        num_neurons=48,
-        public_size=48,
-        rounds=rounds,
-        seed=seed,
-        store=store,
-    )
-
-
-def _default_runner(
-    seed: int,
-    rounds: int,
-    store,
-    attacks: Optional[Sequence[str]] = None,
-    defenses: Optional[Sequence[str]] = None,
-    scenarios: Optional[Sequence[ParticipationScenario]] = None,
-) -> SweepRunner:
-    """8-cell working grid: rtf x 4 suites x 2 participation shapes."""
-    dataset = make_synthetic_dataset(
-        6, 16, image_size=16, seed=5, name="default-grid"
-    )
-    return SweepRunner(
-        dataset,
-        attacks=attacks or ("rtf",),
-        defenses=defenses or ("WO", "MR", "SH", "MR+SH"),
-        scenarios=scenarios or DEFAULT_SCENARIOS[:2],
-        batch_size=4,
-        num_neurons=64,
-        public_size=64,
-        rounds=rounds,
-        seed=seed,
-        store=store,
-    )
-
-
-def _acceptance_runner(
-    seed: int,
-    rounds: int,
-    store,
-    attacks: Optional[Sequence[str]] = None,
-    defenses: Optional[Sequence[str]] = None,
-    scenarios: Optional[Sequence[ParticipationScenario]] = None,
-) -> SweepRunner:
-    """The 24-cell acceptance grid on the CIFAR100 stand-in (minutes)."""
-    return SweepRunner(
-        synthetic_cifar100(samples_per_class=2, seed=2002),
-        attacks=attacks or ("rtf", "cah"),
-        defenses=defenses or ("WO", "MR", "SH", "MR+SH"),
-        scenarios=scenarios or DEFAULT_SCENARIOS[:3],
-        batch_size=4,
-        num_neurons=64,
-        public_size=100,
+        make_dataset(),
+        **{
+            **defaults,
+            "attacks": attacks or defaults["attacks"],
+            "defenses": defenses or defaults["defenses"],
+            "scenarios": scenarios or defaults["scenarios"],
+        },
         rounds=rounds,
         seed=seed,
         store=store,
@@ -1577,9 +777,7 @@ def _acceptance_runner(
 
 
 GRID_PRESETS: dict[str, Callable[..., SweepRunner]] = {
-    "smoke": _smoke_runner,
-    "default": _default_runner,
-    "acceptance": _acceptance_runner,
+    name: partial(_preset_runner, name) for name in _PRESETS
 }
 
 
@@ -1671,6 +869,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             requested_workers = int(args.workers)
         except ValueError:
             parser.error("--workers must be an integer or 'auto'")
+    try:
+        executor = make_executor(requested_workers)
+    except ValueError as error:
+        parser.error(f"--workers: {error}")
 
     attacks: Optional[tuple[str, ...]] = None
     if args.attacks is not None:
@@ -1714,18 +916,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "killed parallel run); pass --resume to finish that sweep with "
             "it, or point --store elsewhere"
         )
-    runner = GRID_PRESETS[args.grid](
-        seed=args.seed,
-        rounds=args.rounds,
-        store=store_path,
-        attacks=attacks,
-        defenses=defenses,
-        scenarios=(
-            SCENARIO_AXES[args.scenario_axis]
-            if args.scenario_axis is not None
-            else None
-        ),
-    )
+    try:
+        runner = GRID_PRESETS[args.grid](
+            seed=args.seed,
+            rounds=args.rounds,
+            store=store_path,
+            attacks=attacks,
+            defenses=defenses,
+            scenarios=(
+                SCENARIO_AXES[args.scenario_axis]
+                if args.scenario_axis is not None
+                else None
+            ),
+        )
+    except ValueError as error:
+        parser.error(str(error))
 
     def report(event: CellEvent) -> None:
         if event.status == "cached":
@@ -1741,7 +946,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 f"done in {event.elapsed_s:.2f}s"
             )
 
-    outcome = runner.run(make_executor(requested_workers), progress=report)
+    outcome = runner.run(executor, progress=report)
     print()
     print(outcome.to_table())
     print(

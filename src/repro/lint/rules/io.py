@@ -17,7 +17,7 @@ Flagged:
 
 Reads are never flagged.  The atomic writers themselves
 (:mod:`repro.utils.checkpoint`) and deliberate append-log writers
-(:class:`~repro.experiments.sweep.SweepStore`) carry documented pragmas —
+(:class:`~repro.experiments.store.SweepStore`) carry documented pragmas —
 the point is that every non-atomic write is visible and justified.
 """
 

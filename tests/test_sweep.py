@@ -84,6 +84,15 @@ class TestScenario:
         with pytest.raises(ValueError, match="duplicate defenses"):
             make_runner(sweep_dataset, defenses=("WO", "MR", "WO"))
 
+    def test_non_positive_rounds_rejected(self, sweep_dataset, tmp_path):
+        # Zero rounds would store mean_psnr=0.0 cells as valid results.
+        for rounds in (0, -2):
+            with pytest.raises(ValueError, match="rounds must be >= 1"):
+                make_runner(
+                    sweep_dataset, rounds=rounds, store=tmp_path / "s.json"
+                )
+        assert not (tmp_path / "s.json").exists()
+
 
 class TestSmokeSweep:
     """Tier-1-safe: a 2-cell sweep end to end, well under the 5s budget."""

@@ -74,14 +74,30 @@ def test_workers_auto_matches_serial_store(tmp_path):
 
 
 def test_workers_flag_rejects_garbage(tmp_path, capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main([
-            "--grid", "smoke",
-            "--store", str(tmp_path / "x.json"),
-            "--workers", "many",
-        ])
-    assert excinfo.value.code == 2
-    assert "--workers" in capsys.readouterr().err
+    for workers in ("many", "0", "-3"):
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "--grid", "smoke",
+                "--store", str(tmp_path / "x.json"),
+                "--workers", workers,
+            ])
+        assert excinfo.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_rounds_flag_rejects_non_positive(tmp_path, capsys):
+    # --rounds 0 once exited 0 and stored mean_psnr=0.0 cells as results.
+    for rounds in ("0", "-1"):
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "--grid", "smoke",
+                "--store", str(tmp_path / "x.json"),
+                "--rounds", rounds,
+            ])
+        assert excinfo.value.code == 2
+        assert "rounds must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_seed_flag_changes_results(tmp_path):

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from repro.data import make_synthetic_dataset
 from repro.experiments import (
     CellEvent,
+    CellExecution,
     ParticipationScenario,
     SerialSweepExecutor,
     ShardRecovery,
@@ -27,7 +28,9 @@ from repro.experiments import (
     headline_ordering_holds,
     make_executor,
 )
+from repro.experiments import executors as executors_module
 from repro.experiments import sweep as sweep_module
+from repro.experiments.executors import run_tasks
 
 
 @pytest.fixture(scope="module")
@@ -163,18 +166,21 @@ class TestExecutorEquivalence:
         assert all(elapsed >= 0.0 for elapsed in outcome.timings.values())
 
     def test_make_executor_selects_by_workers(self, monkeypatch):
-        monkeypatch.setattr(sweep_module, "usable_cpu_count", lambda: 8)
+        monkeypatch.setattr(executors_module, "usable_cpu_count", lambda: 8)
         assert isinstance(make_executor(1), SerialSweepExecutor)
         assert isinstance(make_executor(4), WorkStealingSweepExecutor)
         assert make_executor(4).workers == 4
         with pytest.raises(ValueError):
             WorkStealingSweepExecutor(0)
+        for workers in (0, -3):
+            with pytest.raises(ValueError, match="workers must be >= 1"):
+                make_executor(workers)
 
     def test_make_executor_caps_at_usable_cores(self, monkeypatch):
         # The 0.29x regression: forcing 4 workers onto a 1-core host made
         # the "parallel" run slower than serial.  make_executor now warns
         # and reduces instead of oversubscribing...
-        monkeypatch.setattr(sweep_module, "usable_cpu_count", lambda: 2)
+        monkeypatch.setattr(executors_module, "usable_cpu_count", lambda: 2)
         with pytest.warns(RuntimeWarning, match="2 usable core"):
             executor = make_executor(4)
         assert isinstance(executor, WorkStealingSweepExecutor)
@@ -183,13 +189,13 @@ class TestExecutorEquivalence:
     def test_make_executor_degrades_to_serial_on_one_core(self, monkeypatch):
         # ...and on a 1-core host it degrades all the way to the serial
         # executor, which a 1-worker pool can never beat.
-        monkeypatch.setattr(sweep_module, "usable_cpu_count", lambda: 1)
+        monkeypatch.setattr(executors_module, "usable_cpu_count", lambda: 1)
         with pytest.warns(RuntimeWarning, match="1 usable core"):
             executor = make_executor(4)
         assert isinstance(executor, SerialSweepExecutor)
 
     def test_make_executor_auto_uses_every_usable_core(self, monkeypatch):
-        monkeypatch.setattr(sweep_module, "usable_cpu_count", lambda: 3)
+        monkeypatch.setattr(executors_module, "usable_cpu_count", lambda: 3)
         executor = make_executor(None)
         assert isinstance(executor, WorkStealingSweepExecutor)
         assert executor.workers == 3
@@ -247,21 +253,22 @@ class TestResume:
         assert path.read_bytes() == reference_path.read_bytes()
 
     def test_survivor_shards_not_deleted_by_staged_parallel_execute(
-        self, sweep_dataset, tmp_path
+        self, tmp_path
     ):
-        # The staged API (execute without run's recover step) must still
-        # absorb a previous killed run's shards during cleanup, never
-        # delete them unmerged.
+        # An executor driven directly (without run_tasks' recover step)
+        # must still absorb a previous killed run's shards during cleanup,
+        # never delete them unmerged.
         path = tmp_path / "sweep.json"
-        runner = make_runner(sweep_dataset, store=path)
-        shard_dir = runner.store.shard_directory()
+        store = SweepStore(path)
+        shard_dir = store.shard_directory()
         shard_dir.mkdir()
         SweepStore(shard_dir / "shard-999.json").put(
             "survivor-key", {"mean_psnr": 42.0}
         )
-        runner.execute(runner.cells()[:1], WorkStealingSweepExecutor(2))
+        WorkStealingSweepExecutor(2).run([("new-key", _square, 3)], store)
         assert not shard_dir.exists()
         assert SweepStore(path).get("survivor-key") == {"mean_psnr": 42.0}
+        assert SweepStore(path).get("new-key") == 9
 
     def test_recover_shards_counts_and_is_idempotent(self, sweep_dataset, tmp_path):
         path = tmp_path / "sweep.json"
@@ -273,6 +280,16 @@ class TestResume:
         assert store.recover_shards() == ShardRecovery(2, 0)
         assert store.recover_shards() == (0, 0)
         assert sorted(store.keys()) == ["a", "b"]
+
+
+def _square(payload):
+    """A trivial picklable task."""
+    return payload * payload
+
+
+def _fail(payload):
+    """A task that always raises."""
+    raise RuntimeError(f"task {payload} failed")
 
 
 def _exit_worker_hard(payload):
@@ -396,26 +413,66 @@ class TestSeedDerivation:
             assert base.cell_seed(cell) != moved.cell_seed(cell)
 
 
-class TestStagedApi:
-    """cells() -> execute() -> collect() compose the same as run()."""
+class TestRunTasks:
+    """run_tasks: the one cached-execution path every grid driver uses."""
 
-    def test_staged_run_matches_run(self, sweep_dataset, tmp_path):
-        runner = make_runner(sweep_dataset, store=tmp_path / "staged.json")
-        cells = runner.cells()
-        executions = runner.execute(cells, SerialSweepExecutor())
-        outcome = runner.collect(cells, executions)
-        reference = make_runner(
-            sweep_dataset, store=tmp_path / "reference.json"
-        ).run()
-        assert outcome.results == reference.results
-        assert outcome.computed == reference.computed
+    def test_serves_stored_tasks_and_runs_the_rest_in_task_order(
+        self, tmp_path
+    ):
+        store = SweepStore(tmp_path / "s.json")
+        store.put("b", 4)
+        events: list[CellEvent] = []
+        tasks = [("a", _square, 1), ("b", _square, 2), ("c", _fail, 3)]
+        executions = run_tasks(tasks, store, progress=events.append)
+        assert list(executions) == ["a", "b", "c"]
+        assert executions["b"] == CellExecution(4, 0.0, cached=True)
+        assert executions["a"].result == 1 and not executions["a"].cached
+        assert executions["c"].result["error"]["type"] == "RuntimeError"
+        assert [(e.key, e.status) for e in events] == [
+            ("b", "cached"), ("a", "done"), ("c", "failed"),
+        ]
+        assert events[0].completed == 1 and events[0].total == 3
+        # The success is persisted; the failure is not, so it retries.
+        assert sorted(SweepStore(tmp_path / "s.json").keys()) == ["a", "b"]
 
-    def test_execute_persists_only_successes(self, sweep_dataset, tmp_path):
+    def test_recovers_shards_before_serving(self, tmp_path):
+        store = SweepStore(tmp_path / "s.json")
+        shard_dir = store.shard_directory()
+        shard_dir.mkdir()
+        SweepStore(shard_dir / "shard-7.json").put("a", 1)
+        executions = run_tasks([("a", _fail, 0)], store)
+        assert executions["a"] == CellExecution(1, 0.0, cached=True)
+        assert not shard_dir.exists()
+
+    def test_run_persists_only_successes(self, sweep_dataset, tmp_path):
         runner = make_runner(
             sweep_dataset,
             store=tmp_path / "s.json",
             defenses=("WO", FAILING_DEFENSE),
         )
-        runner.execute(runner.cells())
+        runner.run()
         assert all("WO" in key for key in runner.store.keys())
         assert len(runner.store) == 2
+
+    def test_run_keys_each_cell_once(
+        self, sweep_dataset, tmp_path, monkeypatch
+    ):
+        # Keying is the bulk of a resumed pass over a large store, so run()
+        # computes each cell's store key once, fresh or served.  (The
+        # worker-side runner rebuilt for run_cell keys its own cells.)
+        keyed: list = []
+        original = SweepRunner.store_key
+
+        def counting_store_key(self, cell):
+            keyed.append((self, cell))
+            return original(self, cell)
+
+        monkeypatch.setattr(SweepRunner, "store_key", counting_store_key)
+        path = tmp_path / "s.json"
+        for expected in ("computed", "cached"):
+            keyed.clear()
+            runner = make_runner(sweep_dataset, store=path)
+            outcome = runner.run(progress=lambda event: None)
+            assert len(getattr(outcome, expected)) == 4
+            own = [cell for owner, cell in keyed if owner is runner]
+            assert own == runner.cells()
