@@ -102,7 +102,8 @@ class ProtocolAggregator(Aggregator):
         committed = sorted(int(cid) for cid in committed_ids)
         if len(matrix) != len(survivors):
             raise ValueError("matrix rows must align with survivor_ids")
-        missing = [cid for cid in survivors if cid not in set(committed)]
+        committed_set = set(committed)
+        missing = [cid for cid in survivors if cid not in committed_set]
         if missing:
             raise ValueError(f"survivors outside the committed set: {missing}")
         recovered = self._run_protocol(matrix, survivors, committed, int(round_index))

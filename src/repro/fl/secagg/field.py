@@ -107,17 +107,29 @@ def f_mul(a, b) -> np.ndarray:
     return _fold(acc)
 
 
-def f_pow(base, exponent: int) -> np.ndarray:
-    """Field exponentiation by a non-negative Python-int exponent."""
-    if exponent < 0:
-        raise ValueError("exponent must be non-negative")
+def f_pow(base, exponent) -> np.ndarray:
+    """Field exponentiation by non-negative integer exponents.
+
+    ``exponent`` is any non-negative integer scalar or array that
+    broadcasts against ``base``; it applies elementwise, so a whole
+    matrix of Diffie–Hellman secrets costs one square-and-multiply pass
+    of ~61 vectorized steps instead of a scalar ``pow`` per entry.
+    """
     base = np.asarray(base, dtype=np.uint64)
-    result = np.ones_like(base)
-    while exponent:
-        if exponent & 1:
-            result = f_mul(result, base)
+    exponents = np.asarray(exponent)
+    if exponents.dtype.kind not in "ui" or np.any(exponents < 0):
+        raise ValueError("exponents must be non-negative integers")
+    exponents = exponents.astype(np.uint64)
+    # Square ``base`` in its own shape: for an outer-product call such as
+    # ``f_pow(row[None, :], col[:, None])`` only the multiply step runs
+    # over the full broadcast shape.
+    result = np.ones(np.broadcast_shapes(base.shape, exponents.shape), dtype=np.uint64)
+    one = np.uint64(1)
+    while np.any(exponents):
+        odd = (exponents & one).astype(bool)
+        result = np.where(odd, f_mul(result, base), result)
         base = f_mul(base, base)
-        exponent >>= 1
+        exponents = exponents >> one
     return result
 
 

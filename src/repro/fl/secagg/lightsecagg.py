@@ -37,7 +37,7 @@ import numpy as np
 
 from ...utils.rng import rng_for
 from ..messages import AggregatedMaskSegment, EncodedMaskSegment, MaskedUpload
-from .base import BelowThresholdError, SecAggError, default_threshold
+from .base import SecAggError, checked_survivors, default_threshold
 from .field import f_add, f_sub, from_field_centered, interpolate, rand_field, to_field
 from .masking import expand_field_mask  # noqa: F401  (re-export for tests)
 
@@ -172,14 +172,9 @@ class OneShotRound:
         survivors — below that the aggregated segments cannot pin down
         the summed mask polynomial.
         """
-        survivor_ids = sorted(int(upload.client_id) for upload in uploads)
-        if len(set(survivor_ids)) != len(survivor_ids):
-            raise SecAggError("duplicate masked uploads for one client")
-        unknown = [cid for cid in survivor_ids if cid not in self._positions]
-        if unknown:
-            raise SecAggError(f"uploads from uncommitted clients: {unknown}")
-        if len(survivor_ids) < self.threshold:
-            raise BelowThresholdError(len(survivor_ids), self.threshold)
+        survivor_ids = checked_survivors(
+            uploads, self._positions, self.round_index, self.threshold
+        )
 
         total = np.zeros(self.dim, dtype=np.uint64)
         for upload in uploads:

@@ -12,25 +12,31 @@ Two mask domains coexist:
 
 Key agreement is a textbook Diffie–Hellman simulation over the same
 Mersenne prime (generator 7) — a stand-in for X25519 with the property
-that matters here: both endpoints of a pair derive the same seed without
-the server learning it.
+that matters here: both endpoints of a pair derive the same secret
+without the server learning it.  The secrets themselves are computed in
+bulk with :func:`~repro.fl.secagg.field.f_pow`; :func:`pairwise_seed`
+keys the PRG on a secret and the round.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ...utils.rng import derive_seed
 from .field import PRIME_INT, rand_field
 
 _GENERATOR = 7
-_RING_MAX = np.iinfo(np.uint64).max
+# Domain-separation word for pairwise masks (ASCII "pair"): keeps the
+# pairwise PRG streams apart from the one-word self-mask seeds.
+_PAIRWISE_TAG = 0x70616972
 
 
 def expand_ring_mask(seed, dim: int) -> np.ndarray:
-    """PRG-expand a seed into a uniform ``uint64`` ring mask of length ``dim``."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    return rng.integers(_RING_MAX, size=dim, dtype=np.uint64, endpoint=True)
+    """PRG-expand a seed into a uniform ``uint64`` ring mask of length ``dim``.
+
+    The raw PCG64 output is exactly what ``Generator.integers`` returns
+    for the full ``uint64`` range, without the ``Generator`` overhead.
+    """
+    return np.random.PCG64(np.random.SeedSequence(seed)).random_raw(dim)
 
 
 def expand_field_mask(seed, dim: int) -> np.ndarray:
@@ -43,18 +49,14 @@ def dh_keypair(rng: np.random.Generator) -> tuple[int, int]:
     """Draw a (secret, public) Diffie–Hellman pair mod the Mersenne prime.
 
     Secrets are drawn in ``[1, p - 1)`` so the public key is never the
-    identity; arithmetic runs through Python's ``pow`` because the
-    exponent exceeds what uint64 modmul can express.
+    identity.  One key per client, so a scalar Python ``pow`` suffices.
     """
     secret = int(rng.integers(1, PRIME_INT - 1, dtype=np.uint64))
     return secret, pow(_GENERATOR, secret, PRIME_INT)
 
 
-def dh_shared_seed(secret_key: int, peer_public_key: int, round_index: int) -> tuple:
-    """The pairwise PRG seed both endpoints derive: ``g**(sk_i * sk_j)``.
-
-    Folding the round index in via :func:`~repro.utils.rng.derive_seed`
-    gives each round an independent mask stream from the same key pair.
-    """
-    shared = pow(peer_public_key, secret_key, PRIME_INT)
-    return (derive_seed(shared, "secagg-pairwise", str(round_index)),)
+def pairwise_seed(shared_secret: int, round_index: int) -> tuple[int, int, int]:
+    """The PRG seed of one pairwise mask: the full 61-bit DH secret
+    ``g**(sk_i * sk_j)`` keyed with the round index, so each round gets an
+    independent mask stream from the same key pair."""
+    return (int(shared_secret), int(round_index), _PAIRWISE_TAG)

@@ -12,10 +12,12 @@ from).  The choreography follows Bonawitz et al. (CCS 2017):
    re-derive its pairwise masks if it drops) and a fresh *self-mask
    seed* (:class:`~repro.fl.messages.SecretShareBundle`).
 3. **Masked upload** — a surviving client uploads
-   ``y_i = q_i + PRG(b_i) + Σ_{j≠i} sign(i,j) · PRG(s_ij)  (mod 2**64)``
+   ``y_i = q_i + PRG(b_i) + Σ_{j≠i} sign(i,j) · PRG(s_ij, round)  (mod 2**64)``
    where ``q_i`` is the fixed-point quantized update, ``b_i`` the self
-   mask, ``s_ij`` the pairwise seed, and ``sign(i,j) = +1`` iff
-   ``i < j`` — so pairwise masks cancel between any two survivors.
+   mask, ``s_ij = pk_j ** sk_i`` the 61-bit pairwise DH secret (agreed
+   for every ordered pair in one vectorized pass at commit time), and
+   ``sign(i,j) = +1`` iff ``i < j`` — so pairwise masks cancel between
+   any two survivors.
 4. **Unmask** — the server names the survivor/dropped split
    (:class:`~repro.fl.messages.UnmaskRequest`); each survivor answers
    with its self-mask shares for *survivors* and secret-key shares for
@@ -47,8 +49,9 @@ from ..messages import (
     UnmaskRequest,
     UnmaskResponse,
 )
-from .base import BelowThresholdError, SecAggError, default_threshold
-from .masking import dh_keypair, dh_shared_seed, expand_ring_mask
+from .base import SecAggError, checked_survivors, default_threshold
+from .field import f_pow
+from .masking import dh_keypair, expand_ring_mask, pairwise_seed
 from .shamir import reconstruct_secrets, share_secrets
 
 
@@ -100,6 +103,7 @@ class SecAggRound:
         self._seed_shares = np.zeros((0, 0), dtype=np.uint64)
         self._self_mask_shares = np.zeros((0, 0), dtype=np.uint64)
         self._share_keys()
+        self._shared_secrets = self._agree_keys()
 
     # ------------------------------------------------------------------
     # Phase 1+2: commitment
@@ -138,6 +142,19 @@ class SecAggRound:
         self._seed_shares = share_secrets(secret_keys, count, self.threshold, rng)
         self._self_mask_shares = share_secrets(self_masks, count, self.threshold, rng)
 
+    def _agree_keys(self) -> np.ndarray:
+        """Every client's DH secret with every peer, in one ``f_pow`` pass.
+
+        Row ``i`` holds client ``i``'s view: ``shared[i, j] = pk_j ** sk_i``.
+        Entry ``(i, j)`` is never copied into ``(j, i)``, so pairwise masks
+        cancel between survivors only because DH agreement is symmetric.
+        The diagonal is computed but never read.
+        """
+        states = [self._states[cid] for cid in self.client_ids]
+        secret_keys = np.array([s.secret_key for s in states], dtype=np.uint64)
+        public_keys = np.array([s.public_key for s in states], dtype=np.uint64)
+        return f_pow(public_keys[None, :], secret_keys[:, None])
+
     def share_bundles(self) -> list[SecretShareBundle]:
         """Materialize the n**2 share messages (for inspection/tests)."""
         bundles = []
@@ -162,9 +179,6 @@ class SecAggRound:
     # ------------------------------------------------------------------
     # Phase 3: masked upload
     # ------------------------------------------------------------------
-    def _pairwise_seed(self, state: _ClientState, peer: _ClientState) -> tuple:
-        return dh_shared_seed(state.secret_key, peer.public_key, self.round_index)
-
     def masked_upload(
         self,
         client_id: int,
@@ -179,12 +193,11 @@ class SecAggRound:
         payload = np.asarray(quantized, dtype=np.uint64).copy()
         dim = payload.shape[-1]
         payload += expand_ring_mask(state.self_mask_seed, dim)
-        for peer_id in self.client_ids:
+        secrets = self._shared_secrets[state.position].tolist()
+        for peer_id, secret in zip(self.client_ids, secrets):
             if peer_id == state.client_id:
                 continue
-            mask = expand_ring_mask(
-                self._pairwise_seed(state, self._states[peer_id]), dim
-            )
+            mask = expand_ring_mask(pairwise_seed(secret, self.round_index), dim)
             if state.client_id < peer_id:
                 payload += mask
             else:
@@ -207,7 +220,8 @@ class SecAggRound:
         share responses (self-mask shares for survivors, seed shares for
         dropped — never both for one sender)."""
         survivors = sorted(int(cid) for cid in survivor_ids)
-        dropped = [cid for cid in self.client_ids if cid not in set(survivors)]
+        survivor_set = set(survivors)
+        dropped = [cid for cid in self.client_ids if cid not in survivor_set]
         request = UnmaskRequest(self.round_index, survivors, dropped)
         responses = []
         for cid in survivors:
@@ -239,22 +253,21 @@ class SecAggRound:
         dropped clients' seeds (by design).  Returns the ``(dim,)``
         ``uint64`` ring sum of the survivors' *plain* quantized updates.
         """
-        survivor_ids = sorted(int(upload.client_id) for upload in uploads)
-        if len(set(survivor_ids)) != len(survivor_ids):
-            raise SecAggError("duplicate masked uploads for one client")
-        unknown = [cid for cid in survivor_ids if cid not in self._states]
-        if unknown:
-            raise SecAggError(f"uploads from uncommitted clients: {unknown}")
-        if len(survivor_ids) < self.threshold:
-            raise BelowThresholdError(len(survivor_ids), self.threshold)
+        survivor_ids = checked_survivors(
+            uploads, self._states, self.round_index, self.threshold
+        )
+        payloads = [np.asarray(upload.payload, dtype=np.uint64) for upload in uploads]
+        shapes = sorted({payload.shape for payload in payloads})
+        if len(shapes) != 1:
+            raise SecAggError(f"masked uploads disagree on shape: {shapes}")
 
         request, responses = self.unmask_messages(survivor_ids)
         helpers = responses[: self.threshold]
         helper_xs = np.array([r.share_x for r in helpers], dtype=np.uint64)
 
-        total = np.zeros_like(np.asarray(uploads[0].payload, dtype=np.uint64))
-        for upload in uploads:
-            total += np.asarray(upload.payload, dtype=np.uint64)
+        total = np.zeros_like(payloads[0])
+        for payload in payloads:
+            total += payload
         dim = total.shape[-1]
 
         # Cancel every survivor's self mask: reconstruct all b_i in one
@@ -268,24 +281,25 @@ class SecAggRound:
             total -= expand_ring_mask(int(seed), dim)
 
         # Cancel the dropped clients' orphaned pairwise masks: reconstruct
-        # each dropped secret key, re-derive its pairwise seeds with every
-        # survivor, and remove the survivor-side contributions.
-        recovered_dropped: list[int] = []
+        # each dropped secret key, re-derive its DH secret with every
+        # survivor (all pairs in one f_pow pass), and remove the
+        # survivor-side contributions.
         if request.dropped_ids:
             seed_shares = np.array(
                 [[r.seed_shares[did] for did in request.dropped_ids] for r in helpers],
                 dtype=np.uint64,
             )
             recovered_keys = reconstruct_secrets(helper_xs, seed_shares)
-            for dropped_id, secret_key in zip(
-                request.dropped_ids, (int(k) for k in recovered_keys)
-            ):
-                recovered_dropped.append(dropped_id)
-                for survivor_id in survivor_ids:
-                    peer = self._states[survivor_id]
+            survivor_public = np.array(
+                [self._states[sid].public_key for sid in survivor_ids],
+                dtype=np.uint64,
+            )
+            # secrets[d, s] = pk_s ** sk_d, the dropped endpoint's view.
+            secrets = f_pow(survivor_public[None, :], recovered_keys[:, None])
+            for dropped_id, row in zip(request.dropped_ids, secrets.tolist()):
+                for survivor_id, secret in zip(survivor_ids, row):
                     mask = expand_ring_mask(
-                        dh_shared_seed(secret_key, peer.public_key, self.round_index),
-                        dim,
+                        pairwise_seed(secret, self.round_index), dim
                     )
                     # Survivor i uploaded sign(i, dropped) * mask; remove it.
                     if survivor_id < dropped_id:
@@ -295,7 +309,7 @@ class SecAggRound:
         self.last_recovery = {
             "survivors": len(survivor_ids),
             "dropped": len(request.dropped_ids),
-            "recovered_dropped_ids": recovered_dropped,
+            "recovered_dropped_ids": list(request.dropped_ids),
             "unmask_responses": len(responses),
             "helper_shares": int(self.threshold),
         }

@@ -28,6 +28,7 @@ from repro.fl.secagg import (
     default_threshold,
 )
 from repro.fl.secagg import field as F
+from repro.fl.secagg.masking import expand_ring_mask
 from repro.fl.secagg.shamir import reconstruct_secrets, share_secrets
 from repro.nn.module import Module
 
@@ -171,6 +172,37 @@ class TestBonawitzChoreography:
         with pytest.raises(SecAggError):
             session.masked_upload(7, np.zeros(DIM, np.uint64))
 
+    @pytest.mark.parametrize("client_ids", [[3, 8], list(range(6))])
+    def test_pairwise_masks_cancel_without_recovery(self, client_ids):
+        # Summing every upload and stripping the self masks must leave the
+        # plain ring sum: each pair's masks cancel because both endpoints
+        # derive the same DH secret, not because the server unmasks them.
+        session = SecAggProtocol(seed=5).begin(client_ids, 7)
+        codec = FixedPointCodec(16)
+        quantized = codec.quantize(grid_matrix(len(client_ids), seed=4), count=8)
+        total = np.zeros(DIM, dtype=np.uint64)
+        for row, cid in enumerate(client_ids):
+            upload = session.masked_upload(cid, quantized[row])
+            assert not np.array_equal(upload.payload, quantized[row])
+            total += upload.payload
+            # The round's own self-mask seed (client-side state).
+            total -= expand_ring_mask(session._states[cid].self_mask_seed, DIM)
+        np.testing.assert_array_equal(
+            total, quantized.sum(axis=0, dtype=np.uint64)
+        )
+
+    @pytest.mark.parametrize("short_first", [False, True])
+    def test_uploads_of_different_lengths_rejected(self, short_first):
+        session = SecAggProtocol(seed=0).begin(list(range(5)), 0)
+        uploads = [
+            session.masked_upload(cid, np.full(DIM, cid, np.uint64))
+            for cid in range(4)
+        ]
+        odd = session.masked_upload(4, np.ones(1, np.uint64))
+        uploads = [odd] + uploads if short_first else uploads + [odd]
+        with pytest.raises(SecAggError, match="shape"):
+            session.recover_sum(uploads)
+
 
 @pytest.mark.parametrize("protocol_cls", [SecAggProtocol, OneShotRecoveryProtocol])
 class TestProtocolRecovery:
@@ -250,6 +282,18 @@ class TestProtocolRecovery:
         others = [session.masked_upload(cid, quantized[cid]) for cid in range(1, 6)]
         with pytest.raises(SecAggError):
             session.recover_sum([upload, upload] + others)
+
+    def test_uploads_from_another_round_rejected(self, protocol_cls):
+        # An upload masked for round 2 carries round 2's masks; folding it
+        # into round 1's sum would return garbage instead of failing.
+        codec = FixedPointCodec(16)
+        quantized = self._quantized(protocol_cls, codec, grid_matrix(5), 5)
+        round_one = self._begin(protocol_cls, list(range(5)), 1, DIM)
+        round_two = self._begin(protocol_cls, list(range(5)), 2, DIM)
+        uploads = [round_one.masked_upload(cid, quantized[cid]) for cid in range(4)]
+        uploads.append(round_two.masked_upload(4, quantized[4]))
+        with pytest.raises(SecAggError, match="another round"):
+            round_one.recover_sum(uploads)
 
     def test_uploads_hide_plaintext(self, protocol_cls):
         matrix = grid_matrix(6, seed=5)

@@ -32,6 +32,7 @@ from repro.fl import (
     make_aggregator,
 )
 from repro.fl.engine import EVENT_KINDS
+from repro.fl.secagg.field import PRIME_INT, f_pow
 from repro.metrics import PSNR_CEILING, psnr
 from repro.tensor import Tensor
 from repro.utils import numerical_gradient
@@ -250,6 +251,34 @@ class TestAggregatorOrderInvariance:
             [updates[i] for i in order]
         )["w"]
         np.testing.assert_allclose(shuffled, base, atol=1e-9)
+
+
+class TestFieldPowProperties:
+    """``f_pow`` with array exponents is Python's ``pow`` mod the prime,
+    elementwise and under broadcasting — the kernel that computes every
+    pairwise Diffie–Hellman secret of a SecAgg round in one pass."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        pairs=st.lists(
+            st.tuples(
+                st.integers(0, PRIME_INT - 1),
+                st.one_of(st.sampled_from([0, 1]), st.integers(0, 2**64 - 1)),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_array_exponents_match_python_pow(self, pairs):
+        bases = np.array([b for b, _ in pairs], dtype=np.uint64)
+        exps = np.array([e for _, e in pairs], dtype=np.uint64)
+        np.testing.assert_array_equal(
+            f_pow(bases, exps),
+            np.array([pow(b, e, PRIME_INT) for b, e in pairs], dtype=np.uint64),
+        )
+        outer = f_pow(bases[None, :], exps[:, None])
+        expected = [[pow(b, e, PRIME_INT) for b, _ in pairs] for _, e in pairs]
+        np.testing.assert_array_equal(outer, np.array(expected, dtype=np.uint64))
 
 
 class TestSecAggRecoveryProperties:
