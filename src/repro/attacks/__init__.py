@@ -23,7 +23,6 @@ from repro.attacks.linear import LinearClassifier, LinearModelInversion
 from repro.attacks.loki import LOKIAttack
 from repro.attacks.qbi import QBIAttack, sole_activation_probability
 from repro.attacks.registry import (
-    AttackKnob,
     AttackRegistryError,
     AttackSpec,
     DuplicateAttackError,
@@ -56,7 +55,6 @@ __all__ = [
     "LinearClassifier",
     "LinearModelInversion",
     "AttackSpec",
-    "AttackKnob",
     "AttackRegistryError",
     "UnknownAttackError",
     "DuplicateAttackError",

@@ -46,6 +46,11 @@ class CAHAttack(TrapImprintAttack):
         :meth:`calibrate_from_public_data`.
     seed:
         Seed for drawing the trap directions (the server chooses these).
+    signal_tolerance:
+        Bias-gradient magnitude below which a trap counts as dead.
+    deduplicate:
+        Collapse near-identical reconstructions (traps that caught the
+        same sample) into one.
     """
 
     name = "cah"

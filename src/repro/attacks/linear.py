@@ -54,6 +54,8 @@ class LinearModelInversion:
 
     Unlike the imprint attacks there is nothing to craft: the server simply
     reads the uploaded gradients of the (honest) linear model.
+    ``signal_tolerance`` is the bias-gradient magnitude below which a class
+    counts as absent from the batch.
     """
 
     name = "linear"

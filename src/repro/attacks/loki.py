@@ -73,9 +73,15 @@ class LOKIAttack(TrapImprintAttack):
         Multiplier on each crafted block (weights and biases together, so
         the activation pattern is unchanged) making the malicious
         gradients dominate the aggregate.
+    pixel_mean / pixel_std:
+        Gaussian fallback prior when no public data is available.
     seed:
         Base seed; block ``k``'s trap directions derive from
         ``(seed, "block-k")`` regardless of which client owns the block.
+    signal_tolerance:
+        Bias-gradient magnitude below which a trap counts as dead.
+    deduplicate:
+        Collapse near-identical reconstructions into one.
     """
 
     name = "loki"

@@ -49,6 +49,11 @@ class QBIAttack(TrapImprintAttack):
         per-neuron empirical quantiles.
     seed:
         Seed for drawing the trap directions (the server chooses these).
+    signal_tolerance:
+        Bias-gradient magnitude below which a trap counts as dead.
+    deduplicate:
+        Collapse near-identical reconstructions (traps that caught the
+        same sample) into one.
     """
 
     name = "qbi"

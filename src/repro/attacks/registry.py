@@ -1,27 +1,26 @@
-"""Pluggable attack registry: name -> factory with declared config knobs.
+"""Pluggable attack registry: name -> factory whose signature declares the knobs.
 
 The sweep engine grids over attacks the same way it grids over
 transformation suites and participation scenarios, so the attack axis must
 be *data*, not a hard-coded if/elif chain.  Each attack registers an
-:class:`AttackSpec` — its factory, which global model it targets, and the
-config knobs it exposes — and every consumer (``SweepRunner``, the CLI's
-``--attacks`` flag, the per-figure harnesses, tests) resolves attacks
-through :func:`make_attack`.
+:class:`AttackSpec` — its factory and which global model it targets —
+and every consumer (``SweepRunner``, the CLI's ``--attacks`` flag, the
+per-figure harnesses, tests) resolves attacks through :func:`make_attack`.
 
 Adding an attack to the zoo:
 
 1. Implement :class:`~repro.attacks.base.ActiveReconstructionAttack`
    (``craft`` + ``reconstruct``; optionally ``calibrate_from_public_data``,
    and the large-scale hooks ``craft_for_client`` /
-   ``reconstruct_per_client`` — see :mod:`repro.attacks.loki`).
+   ``reconstruct_per_client`` — see :mod:`repro.attacks.loki`).  Its
+   knobs are the constructor's keyword parameters with defaults.
 2. Register it::
 
        register_attack(AttackSpec(
            name="myattack",
-           factory=_make_myattack,
+           factory=MyAttack,
            model="imprint",
            description="one line for --help and docs",
-           knobs=(AttackKnob("strength", 1.0, "what it does"),),
        ))
 
 3. It is now reachable from ``python -m repro.experiments.sweep
@@ -48,6 +47,7 @@ from repro.attacks.linear import LinearModelInversion
 from repro.attacks.loki import LOKIAttack
 from repro.attacks.qbi import QBIAttack
 from repro.attacks.rtf import RTFAttack
+from repro.utils.knobs import signature_knobs
 
 
 class AttackRegistryError(ValueError):
@@ -62,27 +62,24 @@ class DuplicateAttackError(AttackRegistryError):
     """An attack name is already registered (pass ``replace=True`` to allow)."""
 
 
-@dataclass(frozen=True)
-class AttackKnob:
-    """One declared configuration knob of a registered attack."""
-
-    name: str
-    default: object
-    description: str = ""
+#: What :func:`make_attack` passes itself, to factories that declare it.
+_SUPPLIED = ("num_neurons", "seed")
 
 
 @dataclass(frozen=True)
 class AttackSpec:
     """Everything the zoo knows about one attack.
 
-    ``factory`` is called as ``factory(num_neurons, public_images, seed,
-    **knobs)`` and must return a calibrated, ready-to-``craft`` attack.
-    ``model`` names the global-model family the attack targets
-    (``"imprint"`` for the malicious-layer attacks, ``"linear"`` for
-    single-layer gradient inversion) so grid runners can build the right
-    architecture per cell.  ``crafts_model`` is False for passive attacks
-    that never modify parameters (nothing for client-side detection to
-    flag).
+    ``factory`` is usually the attack class itself.  Its keyword
+    parameters with defaults are the attack's knobs, read once from its
+    signature when the spec is built; ``num_neurons`` and ``seed`` are
+    not knobs but are passed by :func:`make_attack` when the factory
+    declares them.  ``model`` names the global-model family the attack
+    targets (``"imprint"`` for the malicious-layer attacks, ``"linear"``
+    for single-layer gradient inversion) so grid runners can build the
+    right architecture per cell.  ``crafts_model`` is False for passive
+    attacks that never modify parameters (nothing for client-side
+    detection to flag).
     """
 
     name: str
@@ -90,10 +87,15 @@ class AttackSpec:
     model: str = "imprint"
     crafts_model: bool = True
     description: str = ""
-    knobs: tuple[AttackKnob, ...] = field(default_factory=tuple)
+    knobs: tuple[str, ...] = field(init=False)
+    supplied: tuple[str, ...] = field(init=False, repr=False)
 
-    def knob_names(self) -> set[str]:
-        return {knob.name for knob in self.knobs}
+    def __post_init__(self) -> None:
+        knobs, supplied = signature_knobs(
+            self.factory, _SUPPLIED, AttackRegistryError
+        )
+        object.__setattr__(self, "knobs", knobs)
+        object.__setattr__(self, "supplied", supplied)
 
 
 _REGISTRY: dict[str, AttackSpec] = {}
@@ -144,127 +146,77 @@ def make_attack(
     seed: int = 0,
     **knobs,
 ) -> ActiveReconstructionAttack:
-    """Build a calibrated attack from the zoo.
+    """Build an attack from the zoo, calibrated when it can be.
 
-    ``knobs`` must be declared by the attack's spec — an undeclared knob
-    is a configuration typo, and silently dropping it would run a
-    different experiment than the one asked for.
+    ``knobs`` must be among the spec's knobs — an undeclared knob is a
+    configuration typo, and silently dropping it would run a different
+    experiment than the one asked for.  Attacks with a
+    ``calibrate_from_public_data`` hook calibrate on non-empty
+    ``public_images``.
     """
     spec = attack_spec(name)
-    unknown = set(knobs) - spec.knob_names()
+    unknown = set(knobs) - set(spec.knobs)
     if unknown:
         raise AttackRegistryError(
             f"unknown knob(s) {sorted(unknown)} for attack {name!r}; "
-            f"declared knobs: {sorted(spec.knob_names())}"
+            f"declared knobs: {sorted(spec.knobs)}"
         )
-    return spec.factory(num_neurons, public_images, seed, **knobs)
-
-
-def _calibrated(attack, public_images):
-    if public_images is not None and len(public_images):
+    supplied = {"num_neurons": num_neurons, "seed": seed}
+    attack = spec.factory(
+        **{key: supplied[key] for key in spec.supplied}, **knobs
+    )
+    if (
+        public_images is not None
+        and len(public_images)
+        and hasattr(attack, "calibrate_from_public_data")
+    ):
         attack.calibrate_from_public_data(public_images)
     return attack
 
 
-def _make_rtf(num_neurons, public_images, seed, **knobs):
-    return _calibrated(RTFAttack(num_neurons, **knobs), public_images)
-
-
-def _make_cah(num_neurons, public_images, seed, **knobs):
-    return _calibrated(CAHAttack(num_neurons, seed=seed, **knobs), public_images)
-
-
-def _make_qbi(num_neurons, public_images, seed, **knobs):
-    return _calibrated(QBIAttack(num_neurons, seed=seed, **knobs), public_images)
-
-
-def _make_loki(num_neurons, public_images, seed, **knobs):
-    return _calibrated(LOKIAttack(num_neurons, seed=seed, **knobs), public_images)
-
-
-def _make_linear(num_neurons, public_images, seed, **knobs):
-    # Nothing to craft or calibrate: the inversion reads honest gradients.
-    return LinearModelInversion(**knobs)
-
-
 register_attack(AttackSpec(
     name="rtf",
-    factory=_make_rtf,
+    factory=RTFAttack,
     description=(
         "Robbing the Fed: one measurement direction, quantile-staggered "
         "biases, successive-difference bin inversion (Fowl et al. 2022)"
-    ),
-    knobs=(
-        AttackKnob("measurement_mean", 0.5, "prior mean of the measurement"),
-        AttackKnob("measurement_std", 0.1, "prior std of the measurement"),
-        AttackKnob("scale", 1.0, "crafted weight magnitude"),
-        AttackKnob("signal_tolerance", 1e-10, "empty-bin threshold"),
-        AttackKnob(
-            "denominator_floor", None,
-            "clamp for near-empty bin denominators (noise amplification cap)",
-        ),
     ),
 ))
 
 register_attack(AttackSpec(
     name="cah",
-    factory=_make_cah,
+    factory=CAHAttack,
     description=(
         "Curious Abandon Honesty: random trap weights at a fixed small "
         "activation probability (Boenisch et al. 2023)"
-    ),
-    knobs=(
-        AttackKnob("activation_probability", 0.02, "target P(trap fires)"),
-        AttackKnob("pixel_mean", 0.5, "Gaussian-fallback pixel mean"),
-        AttackKnob("pixel_std", 0.25, "Gaussian-fallback pixel std"),
-        AttackKnob("signal_tolerance", 1e-10, "dead-trap threshold"),
-        AttackKnob("deduplicate", True, "collapse near-identical outputs"),
     ),
 ))
 
 register_attack(AttackSpec(
     name="linear",
-    factory=_make_linear,
+    factory=LinearModelInversion,
     model="linear",
     crafts_model=False,
     description=(
         "Single-layer logistic-model gradient inversion, class row by "
         "class row (paper Sec. IV-D)"
     ),
-    knobs=(
-        AttackKnob("signal_tolerance", 1e-10, "absent-class threshold"),
-    ),
 ))
 
 register_attack(AttackSpec(
     name="qbi",
-    factory=_make_qbi,
+    factory=QBIAttack,
     description=(
         "Quantile-based bias initialization: trap biases at the empirical "
         "1-1/B quantile, maximizing sole activations (Nowak et al. 2024)"
-    ),
-    knobs=(
-        AttackKnob("expected_batch_size", 8, "batch size B the server expects"),
-        AttackKnob("pixel_mean", 0.5, "Gaussian-fallback pixel mean"),
-        AttackKnob("pixel_std", 0.25, "Gaussian-fallback pixel std"),
-        AttackKnob("signal_tolerance", 1e-10, "dead-trap threshold"),
-        AttackKnob("deduplicate", True, "collapse near-identical outputs"),
     ),
 ))
 
 register_attack(AttackSpec(
     name="loki",
-    factory=_make_loki,
+    factory=LOKIAttack,
     description=(
         "LOKI-style scaled imprint: per-client-disjoint trap blocks "
         "recovered from the FedAvg aggregate (Zhao et al. 2023)"
-    ),
-    knobs=(
-        AttackKnob("activation_probability", 0.05, "per-block P(trap fires)"),
-        AttackKnob("scale", 1.0, "block amplification (stealth/robustness)"),
-        AttackKnob("pixel_mean", 0.5, "Gaussian-fallback pixel mean"),
-        AttackKnob("pixel_std", 0.25, "Gaussian-fallback pixel std"),
-        AttackKnob("signal_tolerance", 1e-10, "dead-trap threshold"),
-        AttackKnob("deduplicate", True, "collapse near-identical outputs"),
     ),
 ))

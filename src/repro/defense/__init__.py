@@ -14,7 +14,6 @@ from repro.defense.detection import DetectionReport, inspect_state
 from repro.defense.oasis import OasisDefense
 from repro.defense.pipeline import STAGE_SEPARATOR, DefensePipeline
 from repro.defense.registry import (
-    DefenseKnob,
     DefenseRegistryError,
     DefenseSpec,
     DefenseSpecError,
@@ -48,7 +47,6 @@ __all__ = [
     "GradientPruningDefense",
     "TransformReplaceDefense",
     "defense_lineup",
-    "DefenseKnob",
     "DefenseSpec",
     "DefenseRegistryError",
     "DefenseSpecError",

@@ -3,10 +3,10 @@
 The sweep engine grids over defenses the same way it grids over attacks
 (:mod:`repro.attacks.registry`), so the defense axis must be *data*, not a
 hard-coded ``"WO" | OasisDefense(name)`` branch.  Each defense registers a
-:class:`DefenseSpec` — its factory, which pipeline stage it acts at, and
-the config knobs it exposes — and every consumer (``SweepRunner``, the
-CLI's ``--defenses`` flag, the per-figure harnesses, tests) resolves
-defenses through :func:`make_defense`.
+:class:`DefenseSpec` — its factory and which pipeline stage it acts at —
+and every consumer (``SweepRunner``, the CLI's ``--defenses`` flag, the
+per-figure harnesses, tests) resolves defenses through
+:func:`make_defense`.
 
 Spec-string grammar
 -------------------
@@ -29,15 +29,15 @@ Adding a defense:
 
 1. Implement :class:`~repro.defense.base.ClientDefense` (override only the
    hooks you use; override ``reseed`` only if you hold private state
-   beyond the base class's ``_rng``).
+   beyond the base class's ``_rng``).  Its knobs are the constructor's
+   keyword parameters with defaults.
 2. Register it::
 
        register_defense(DefenseSpec(
            name="mydefense",
-           factory=_make_mydefense,
+           factory=MyDefense,
            stage="gradient",
            description="one line for --help and docs",
-           knobs=(DefenseKnob("strength", 1.0, "what it does"),),
        ))
 
 3. It is now reachable from ``python -m repro.experiments.sweep
@@ -67,6 +67,7 @@ from repro.defense.baselines import (
 from repro.defense.oasis import OasisDefense
 from repro.defense.pipeline import STAGE_SEPARATOR, DefensePipeline
 from repro.defense.tabular import TabularOasisDefense
+from repro.utils.knobs import signature_knobs
 from repro.utils.rng import derive_seed
 
 
@@ -87,25 +88,19 @@ class DefenseSpecError(DefenseRegistryError):
 
 
 @dataclass(frozen=True)
-class DefenseKnob:
-    """One declared configuration knob of a registered defense."""
-
-    name: str
-    default: object
-    description: str = ""
-
-
-@dataclass(frozen=True)
 class DefenseSpec:
     """Everything the registry knows about one defense.
 
     ``factory`` is called as ``factory(**knobs)`` and must return a
-    ready-to-use :class:`~repro.defense.base.ClientDefense`; seeding is
-    applied afterwards through :meth:`~ClientDefense.reseed`, never inside
-    the factory.  ``stage`` names the pipeline point the defense acts at
-    (``"batch"``, ``"gradient"``, or ``"none"`` for the WO arm) and
-    ``stochastic`` marks defenses that draw randomness — the ones whose
-    cells depend on fingerprint-derived seeding for order invariance.
+    ready-to-use :class:`~repro.defense.base.ClientDefense`.  Its keyword
+    parameters with defaults are the knobs, read once from its signature
+    when the spec is built.  A ``seed`` parameter is not a knob: seeding
+    is applied afterwards through :meth:`~ClientDefense.reseed`, never
+    inside the factory.  ``stage`` names the pipeline point the defense
+    acts at (``"batch"``, ``"gradient"``, or ``"none"`` for the WO arm)
+    and ``stochastic`` marks defenses that draw randomness — the ones
+    whose cells depend on fingerprint-derived seeding for order
+    invariance.
     """
 
     name: str
@@ -113,10 +108,13 @@ class DefenseSpec:
     stage: str = "batch"
     stochastic: bool = False
     description: str = ""
-    knobs: tuple[DefenseKnob, ...] = field(default_factory=tuple)
+    knobs: tuple[str, ...] = field(init=False)
 
-    def knob_names(self) -> set[str]:
-        return {knob.name for knob in self.knobs}
+    def __post_init__(self) -> None:
+        knobs, _ = signature_knobs(
+            self.factory, ("seed",), DefenseRegistryError
+        )
+        object.__setattr__(self, "knobs", knobs)
 
 
 # Registered names may carry "+" (suite unions like MR+SH) but none of the
@@ -200,7 +198,13 @@ def _parse_stage(token: str, spec: str) -> tuple[str, dict]:
                     f"cannot parse knob {part!r} of stage {token!r} in spec "
                     f"{spec!r}; expected knob=value"
                 )
-            kwargs[key.strip()] = _parse_value(value.strip())
+            key = key.strip()
+            if key in kwargs:
+                raise DefenseSpecError(
+                    f"knob {key!r} is repeated in stage {token!r} of spec "
+                    f"{spec!r}"
+                )
+            kwargs[key] = _parse_value(value.strip())
     return name, kwargs
 
 
@@ -334,11 +338,11 @@ def make_defense(
     for name, kwargs in stages:
         registered = defense_spec(name)
         merged = {**kwargs, **knobs} if len(stages) == 1 else kwargs
-        unknown = set(merged) - registered.knob_names()
+        unknown = set(merged) - set(registered.knobs)
         if unknown:
             raise DefenseRegistryError(
                 f"unknown knob(s) {sorted(unknown)} for defense {name!r}; "
-                f"declared knobs: {sorted(registered.knob_names())}"
+                f"declared knobs: {sorted(registered.knobs)}"
             )
         try:
             built.append(registered.factory(**merged))
@@ -366,33 +370,11 @@ def make_defense(
 # --------------------------------------------------------------------------
 
 
-def _make_none(**knobs):
-    return NoDefense()
-
-
 def _make_oasis(suite: str):
     def factory(include_original: bool = True):
         return OasisDefense(suite, include_original=include_original)
 
     return factory
-
-
-def _make_dpsgd(clip_norm: float = 1.0, noise_multiplier: float = 0.1):
-    return DPSGDDefense(clip_norm=clip_norm, noise_multiplier=noise_multiplier)
-
-
-def _make_dpfed(clip_norm: float = 1.0, noise_multiplier: float = 0.1):
-    return DPGradientDefense(
-        clip_norm=clip_norm, noise_multiplier=noise_multiplier
-    )
-
-
-def _make_prune(prune_fraction: float = 0.9):
-    return GradientPruningDefense(prune_fraction=prune_fraction)
-
-
-def _make_ats(suite: str = "MR"):
-    return TransformReplaceDefense(suite=suite)
 
 
 def _make_tabular(num_features: int = 8):
@@ -401,7 +383,7 @@ def _make_tabular(num_features: int = 8):
 
 register_defense(DefenseSpec(
     name="WO",
-    factory=_make_none,
+    factory=NoDefense,
     stage="none",
     description="no defense — the paper's without-OASIS baseline arm",
 ))
@@ -415,69 +397,49 @@ for _suite_name in available_suites():
             f"OASIS batch expansion with the {_suite_name} suite "
             f"({len(suite_by_name(_suite_name))} transforms; paper Eq. 7)"
         ),
-        knobs=(
-            DefenseKnob(
-                "include_original", True,
-                "keep originals in D' (disable only for ablations)",
-            ),
-        ),
     ))
 
 register_defense(DefenseSpec(
     name="dpsgd",
-    factory=_make_dpsgd,
+    factory=DPSGDDefense,
     stage="gradient",
     stochastic=True,
     description=(
         "DP-SGD: per-example clipping + Gaussian noise sigma = z*C/B "
         "(Abadi et al.; the paper's utility-cost baseline)"
     ),
-    knobs=(
-        DefenseKnob("clip_norm", 1.0, "per-example L2 clip C"),
-        DefenseKnob("noise_multiplier", 0.1, "noise multiplier z"),
-    ),
 ))
 
 register_defense(DefenseSpec(
     name="dpfed",
-    factory=_make_dpfed,
+    factory=DPGradientDefense,
     stage="gradient",
     stochastic=True,
     description=(
         "update-level DP (DP-FedSGD): clip the whole update, add "
         "N(0, (z*C)^2) before upload"
     ),
-    knobs=(
-        DefenseKnob("clip_norm", 1.0, "update L2 clip C"),
-        DefenseKnob("noise_multiplier", 0.1, "noise multiplier z = sigma/C"),
-    ),
 ))
 
 register_defense(DefenseSpec(
     name="prune",
-    factory=_make_prune,
+    factory=GradientPruningDefense,
     stage="gradient",
     description=(
         "gradient magnitude pruning (Zhu et al. / Soteria-style); the "
         "paper notes pruned gradients still leak content"
     ),
-    knobs=(
-        DefenseKnob("prune_fraction", 0.9, "fraction of entries zeroed"),
-    ),
 ))
 
 register_defense(DefenseSpec(
     name="ats",
-    factory=_make_ats,
+    factory=TransformReplaceDefense,
     stage="batch",
     stochastic=True,
     description=(
         "ATSPrivacy-style transform-replace (Gao et al. 2021): each image "
         "replaced by one transformed version, batch size unchanged "
         "(RTF defeats it — paper Fig. 14)"
-    ),
-    knobs=(
-        DefenseKnob("suite", "MR", "transformation suite to draw from"),
     ),
 ))
 
@@ -489,8 +451,5 @@ register_defense(DefenseSpec(
     description=(
         "tabular OASIS: group permutation + mean-preserving jitter "
         "companions for feature rows (paper future-work direction)"
-    ),
-    knobs=(
-        DefenseKnob("num_features", 8, "row width the default transforms cover"),
     ),
 ))

@@ -14,7 +14,8 @@ machine-checked ones:
   mirroring the attack/defense registries.
 - :mod:`repro.lint.rules` — the initial rule pack encoding the real
   invariants: ``no-global-rng``, ``no-raw-write``, ``no-wallclock``,
-  ``sorted-iteration``, ``picklable-entry``, ``registry-knob-sync``.
+  ``sorted-iteration``, ``picklable-entry``, ``no-sim-wallclock``,
+  ``no-allocating-accumulate``.
 
 Run it::
 

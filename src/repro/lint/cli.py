@@ -39,8 +39,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         description=(
             "AST-based determinism & invariant linter: checks that every "
             "RNG draw is seeded, writes are atomic, iteration orders are "
-            "deterministic, executor entries pickle, and registry knob "
-            "declarations match their constructors."
+            "deterministic, and executor entries pickle."
         ),
     )
     parser.add_argument(

@@ -26,9 +26,6 @@ The rules, and the invariant each one guards:
 - ``picklable-entry`` (:mod:`.pickling`): callables crossing process
   boundaries are module-level, so parallel executors work under every
   start method.
-- ``registry-knob-sync`` (:mod:`.registry_sync`): declared attack/defense
-  knobs round-trip against their constructors, so a knob rename fails at
-  lint time instead of mid-sweep.
 - ``no-allocating-accumulate`` (:mod:`.accumulate`): gradient
   accumulation under ``src/repro/tensor`` stays in place (pooled
   buffers, ``out=``) — ``x.grad = x.grad + g`` churn is a silent perf
@@ -43,7 +40,6 @@ from repro.lint.rules import (  # noqa: F401  (imported for registration)
     io,
     ordering,
     pickling,
-    registry_sync,
     rng,
     sim_wallclock,
     wallclock,

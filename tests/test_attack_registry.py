@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
 
 from repro.attacks import (
-    AttackKnob,
     AttackRegistryError,
     AttackSpec,
     DuplicateAttackError,
@@ -26,6 +27,34 @@ from repro.nn import CrossEntropyLoss, LogisticLoss
 BUILTIN_ATTACKS = ("rtf", "cah", "linear", "qbi", "loki")
 NUM_NEURONS = 96
 
+# The knob sets the constructors' signatures must keep yielding.
+EXPECTED_KNOBS = {
+    "rtf": {
+        "measurement_mean", "measurement_std", "scale", "signal_tolerance",
+        "denominator_floor",
+    },
+    "cah": {
+        "activation_probability", "pixel_mean", "pixel_std",
+        "signal_tolerance", "deduplicate",
+    },
+    "linear": {"signal_tolerance"},
+    "qbi": {
+        "expected_batch_size", "pixel_mean", "pixel_std",
+        "signal_tolerance", "deduplicate",
+    },
+    "loki": {
+        "activation_probability", "scale", "pixel_mean", "pixel_std",
+        "signal_tolerance", "deduplicate",
+    },
+}
+
+
+class _ProbeAttack:
+    """Records what the registry passes; declares no ``seed``."""
+
+    def __init__(self, num_neurons, strength=1.0, *, mode="a"):
+        self.args = (num_neurons, strength, mode)
+
 
 class TestRegistry:
     def test_builtins_registered(self):
@@ -44,7 +73,7 @@ class TestRegistry:
             make_attack("nope", 8, None)
 
     def test_duplicate_registration_refused(self):
-        spec = AttackSpec(name="dup_test", factory=lambda *a, **k: None)
+        spec = AttackSpec(name="dup_test", factory=_ProbeAttack)
         register_attack(spec)
         try:
             with pytest.raises(DuplicateAttackError):
@@ -61,9 +90,9 @@ class TestRegistry:
 
     def test_invalid_name_refused(self):
         with pytest.raises(AttackRegistryError):
-            register_attack(AttackSpec(name="", factory=lambda *a: None))
+            register_attack(AttackSpec(name="", factory=_ProbeAttack))
         with pytest.raises(AttackRegistryError):
-            register_attack(AttackSpec(name="bad name", factory=lambda *a: None))
+            register_attack(AttackSpec(name="bad name", factory=_ProbeAttack))
 
     def test_unknown_knob_raises(self):
         with pytest.raises(AttackRegistryError, match="declared knobs"):
@@ -83,12 +112,52 @@ class TestRegistry:
             assert attack_spec(name).crafts_model
 
     def test_every_spec_has_description_and_knob_docs(self):
+        # Knobs are documented where they are declared: the constructor.
         for name in BUILTIN_ATTACKS:
             spec = attack_spec(name)
             assert spec.description
+            doc = inspect.getdoc(spec.factory)
             for knob in spec.knobs:
-                assert isinstance(knob, AttackKnob)
-                assert knob.description
+                assert knob in doc, f"{name} does not document {knob}"
+
+
+class TestSignatureKnobs:
+    """Knobs come from the factory's signature: one declaration, no drift."""
+
+    @pytest.mark.parametrize("name", BUILTIN_ATTACKS)
+    def test_knobs_are_constructor_defaults(self, name):
+        assert set(attack_spec(name).knobs) == EXPECTED_KNOBS[name]
+
+    @pytest.mark.parametrize("name", available_attacks())
+    def test_builds_with_signature_defaults(self, name):
+        spec = attack_spec(name)
+        parameters = inspect.signature(spec.factory).parameters
+        defaults = {knob: parameters[knob].default for knob in spec.knobs}
+        assert make_attack(name, 6, None, seed=0, **defaults) is not None
+
+    @pytest.mark.parametrize("name", available_attacks())
+    def test_undeclared_knob_raises(self, name):
+        with pytest.raises(AttackRegistryError, match="declared knobs"):
+            make_attack(name, 6, None, not_a_knob=1)
+
+    def test_supplies_only_what_the_constructor_declares(self):
+        spec = register_attack(AttackSpec(name="probe", factory=_ProbeAttack))
+        try:
+            assert spec.knobs == ("strength", "mode")
+            attack = make_attack(
+                "probe", 7, np.zeros((2, 3)), seed=5, strength=2.0
+            )
+        finally:
+            unregister_attack("probe")
+        assert attack.args == (7, 2.0, "a")
+
+    def test_var_keyword_factory_refused(self):
+        def factory(num_neurons, **knobs):
+            raise AssertionError("never built")
+
+        with pytest.raises(AttackRegistryError, match=r"\*\*kwargs"):
+            register_attack(AttackSpec(name="kwargs_attack", factory=factory))
+        assert "kwargs_attack" not in available_attacks()
 
 
 class TestRoundTrips:

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
 
 from repro.augment import UnknownSuiteError, suite_by_name
 from repro.defense import (
-    DefenseKnob,
+    ClientDefense,
     DefensePipeline,
     DefenseRegistryError,
     DefenseSpec,
@@ -36,6 +38,18 @@ BUILTIN_DEFENSES = (
     "WO", "MR", "mR", "SH", "HFlip", "VFlip", "MR+SH",
     "dpsgd", "dpfed", "prune", "ats", "tabular",
 )
+
+# The knob sets the factories' signatures must keep yielding.
+EXPECTED_KNOBS = {
+    "WO": set(),
+    **{suite: {"include_original"}
+       for suite in ("MR", "mR", "SH", "HFlip", "VFlip", "MR+SH")},
+    "dpsgd": {"clip_norm", "noise_multiplier"},
+    "dpfed": {"clip_norm", "noise_multiplier"},
+    "prune": {"prune_fraction"},
+    "ats": {"suite"},
+    "tabular": {"num_features"},
+}
 
 
 class TestRegistry:
@@ -119,6 +133,14 @@ class TestSpecGrammar:
         with pytest.raises(DefenseSpecError):
             parse_defense_spec("dpsgd(noise)")
 
+    def test_repeated_knob_rejected(self):
+        # A repeat would otherwise build with the last value and collapse
+        # to one knob in the canonical spec, hiding the typo.
+        spec = "dpsgd(clip_norm=1, clip_norm=2)"
+        for parse in (parse_defense_spec, canonical_spec, make_defense):
+            with pytest.raises(DefenseSpecError, match="'clip_norm' is repeated"):
+                parse(spec)
+
     def test_canonical_spec_strips_whitespace(self):
         assert canonical_spec(" MR > dpsgd ") == "MR>dpsgd"
 
@@ -181,6 +203,41 @@ class TestSpecGrammar:
             make_defense("ats(suite=XYZ)")
         with pytest.raises(DefenseSpecError, match="cannot build stage"):
             make_defense("dpsgd(clip_norm='abc')")
+
+
+class TestSignatureKnobs:
+    """Knobs come from the factory's signature: one declaration, no drift."""
+
+    @pytest.mark.parametrize("name", BUILTIN_DEFENSES)
+    def test_knobs_are_factory_defaults(self, name):
+        assert set(defense_spec(name).knobs) == EXPECTED_KNOBS[name]
+
+    @pytest.mark.parametrize("name", available_defenses())
+    def test_builds_with_signature_defaults(self, name):
+        spec = defense_spec(name)
+        parameters = inspect.signature(spec.factory).parameters
+        defaults = {knob: parameters[knob].default for knob in spec.knobs}
+        assert isinstance(make_defense(name, **defaults), ClientDefense)
+
+    @pytest.mark.parametrize("name", available_defenses())
+    def test_undeclared_knob_raises(self, name):
+        with pytest.raises(DefenseRegistryError, match="declared knobs"):
+            make_defense(name, not_a_knob=1)
+
+    def test_seed_is_not_a_knob(self):
+        # Seeding goes through reseed(), so a constructor's ``seed``
+        # parameter must not be reachable from a spec string.
+        assert "seed" in inspect.signature(DPSGDDefense).parameters
+        with pytest.raises(DefenseRegistryError, match="declared knobs"):
+            make_defense("dpsgd(seed=3)")
+
+    def test_var_keyword_factory_refused(self):
+        def factory(**knobs):
+            return NoDefense()
+
+        with pytest.raises(DefenseRegistryError, match=r"\*\*kwargs"):
+            register_defense(DefenseSpec(name="kwargs_defense", factory=factory))
+        assert "kwargs_defense" not in available_defenses()
 
 
 class TestMakeDefense:

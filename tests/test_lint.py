@@ -41,7 +41,6 @@ EXPECTED_RULES = {
     "no-sim-wallclock",
     "sorted-iteration",
     "picklable-entry",
-    "registry-knob-sync",
     "no-allocating-accumulate",
 }
 
@@ -234,7 +233,7 @@ class TestNoRawWrite:
         source = 'open("report.txt", "w")\n'
         assert lint_source(
             source,
-            rules=[r for r in rules_for("bench") if r.scope == "file"],
+            rules=rules_for("bench"),
         ) == []
 
     def test_pragma_suppresses(self):
@@ -292,7 +291,7 @@ class TestNoWallclock:
         source = "import time\nstamp = time.time()\n"
         assert lint_source(
             source,
-            rules=[r for r in rules_for("bench") if r.scope == "file"],
+            rules=rules_for("bench"),
         ) == []
 
 
