@@ -203,7 +203,7 @@ class _FleetStubClient:
         self.client_id = client_id
         self._gradients = {"w": np.full(FLEET_DIM, float(client_id % 97))}
 
-    def local_update(self, broadcast) -> GradientUpdate:
+    def local_update(self, broadcast, model) -> GradientUpdate:
         return GradientUpdate(
             client_id=self.client_id,
             round_index=broadcast.round_index,

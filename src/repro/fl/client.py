@@ -1,9 +1,10 @@
 """An FL client: local data, optional client-side defense, honest training.
 
 Clients are *honest* in the paper's threat model — they faithfully train
-whatever model the server sends.  Their only protection is local batch
-preprocessing (OASIS, transform-replace) or gradient post-processing (DP,
-pruning), applied through a pluggable
+whatever model the server sends, in the workspace it lends them (a client
+owns no model).  Their only protection is local batch preprocessing
+(OASIS, transform-replace) or gradient post-processing (DP, pruning),
+applied through a pluggable
 :class:`~repro.defense.ClientDefense` — a single defense, a composed
 :class:`~repro.defense.DefensePipeline`, or a registry spec string like
 ``"MR>dpsgd"`` (resolved through :func:`repro.defense.make_defense`).
@@ -29,7 +30,6 @@ class Client:
         self,
         client_id: int,
         dataset: SyntheticImageDataset,
-        model: Module,
         loss_fn: Module,
         batch_size: int,
         defense: "ClientDefense | str | None" = None,
@@ -37,7 +37,6 @@ class Client:
     ) -> None:
         self.client_id = client_id
         self.dataset = dataset
-        self.model = model
         self.loss_fn = loss_fn
         self.batch_size = min(batch_size, len(dataset))
         if defense is None:
@@ -50,18 +49,18 @@ class Client:
         self._rng = np.random.default_rng((seed, client_id))
         self.last_batch: Optional[tuple[np.ndarray, np.ndarray]] = None
 
-    def local_update(self, broadcast: ModelBroadcast) -> GradientUpdate:
+    def local_update(self, broadcast: ModelBroadcast, model: Module) -> GradientUpdate:
         """One round of honest local training on the received model.
 
-        Loads the (possibly malicious) global state, samples a private
-        batch, applies the defense's batch hook, computes gradients, applies
-        the defense's gradient hook, and uploads.
+        Loads the (possibly malicious) global state into ``model``, the
+        server's workspace, samples a private batch, applies the defense's
+        batch hook, computes gradients, applies the gradient hook, and uploads.
         """
-        self.model.load_state_dict(broadcast.state)
+        model.load_state_dict(broadcast.state)
         images, labels = self.dataset.sample_batch(self.batch_size, self._rng)
         self.last_batch = (images.copy(), labels.copy())
         gradients, loss, num_examples = compute_defended_update(
-            self.model, self.loss_fn, images, labels, self.defense, self._rng
+            model, self.loss_fn, images, labels, self.defense, self._rng
         )
         return GradientUpdate(
             client_id=self.client_id,

@@ -4,7 +4,8 @@ A :class:`Fleet` maps client ids to :class:`~repro.fl.client.Client`
 objects, but only builds the objects that are actually sampled into a
 round.  Registration is O(1) in fleet size — the registry holds a factory
 and a count, not a list — so a 1M-user federation costs nothing until the
-server samples its first cohort, and then costs exactly the cohort.
+server samples its first cohort, and then costs exactly the cohort's
+shards and RNG streams (clients own no model; they train in the server's).
 
 The factory contract is ``factory(i).client_id == i`` for every ``i`` in
 ``range(size)``: a client's shard, loss, and RNG stream must be pure

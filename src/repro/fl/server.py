@@ -17,9 +17,9 @@ arrival process makes dropout and straggling emergent timing outcomes
 instead of coin flips.
 
 Clients live in a :class:`~repro.fl.fleet.Fleet`: registering 10k–1M
-users costs a factory and a count, and a ``Client`` object (with its
-shard and model) only materializes when the engine actually dispatches
-that id.
+users costs a factory and a count, and a model-less ``Client`` (shard, RNG
+stream) only materializes when the engine actually dispatches that id;
+every update trains in the server's one ``workspace`` model.
 
 :class:`DishonestServer` additionally manipulates the global model before
 broadcasting (the paper's threat model) and runs gradient inversion on a
@@ -29,6 +29,7 @@ protocol looks honest from the outside.
 
 from __future__ import annotations
 
+import copy
 from typing import Optional, Sequence
 
 import numpy as np
@@ -108,6 +109,8 @@ class Server:
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{label} must be in [0, 1]")
         self.model = model
+        # The one model every client update loads its broadcast into.
+        self.workspace = copy.deepcopy(model)
         self.learning_rate = learning_rate
         self.clients_per_round = clients_per_round or len(self.fleet)
         self.clients_per_round = min(self.clients_per_round, len(self.fleet))
@@ -237,7 +240,8 @@ class Server:
 
         def compute(client_id: int) -> GradientUpdate:
             client = self.fleet.get(client_id)
-            return client.local_update(self.broadcast_to(client, broadcast))
+            sent = self.broadcast_to(client, broadcast)
+            return client.local_update(sent, self.workspace)
 
         ledger = self.engine.run_round(
             selected_ids,

@@ -7,8 +7,8 @@ label-skewed partitioning, per-round client sampling, dropout/straggler
 rates, arrival processes and round cutoffs for the event engine, and the
 server-side aggregation rule.  Setting ``fleet_size`` switches the
 federation onto a lazy :class:`~repro.fl.fleet.Fleet`: clients (shard,
-model, RNG stream) materialize only when sampled, so a 100k-user
-registration costs a closure, not 100k objects.
+RNG stream) materialize only when sampled, so a 100k-user registration
+costs a closure, not 100k objects; clients hold no model.
 """
 
 from __future__ import annotations
@@ -266,7 +266,6 @@ class FederationConfig:
 
 def make_lazy_fleet(
     dataset: SyntheticImageDataset,
-    model_factory: Callable[[], Module],
     config: FederationConfig,
     defense: Optional[ClientDefense] = None,
 ) -> Fleet:
@@ -276,9 +275,6 @@ def make_lazy_fleet(
     ``(seed, "fleet-shard", client_id)`` — a pure function of the id, so
     whichever cohort the server happens to dispatch sees the same data in
     any run, on any worker, regardless of who else materialized.
-    ``model_factory`` must likewise be order-independent (seeded
-    internally, as every factory in this repo is): with a lazy fleet it
-    runs at materialization time, in dispatch order.
     """
     if config.fleet_size <= 0:
         raise ValueError("fleet_size must be positive for a lazy fleet")
@@ -297,7 +293,6 @@ def make_lazy_fleet(
         return Client(
             client_id=client_id,
             dataset=dataset.subset(indices),
-            model=model_factory(),
             loss_fn=loss_fn,
             batch_size=config.batch_size,
             defense=defense,
@@ -310,9 +305,9 @@ def make_lazy_fleet(
 class FederatedSimulation:
     """A ready-to-run federation over one dataset.
 
-    ``model_factory`` must return a fresh model of identical architecture
-    each call; clients each hold their own instance (as real devices would)
-    and synchronize through state dicts.
+    ``model_factory`` is called exactly once, for the global model; the
+    server trains every client update in one copy of it (see
+    :attr:`~repro.fl.server.Server.workspace`).
     """
 
     def __init__(
@@ -326,7 +321,7 @@ class FederatedSimulation:
     ) -> None:
         self.config = config
         if config.fleet_size:
-            self.fleet = make_lazy_fleet(dataset, model_factory, config, defense)
+            self.fleet = make_lazy_fleet(dataset, config, defense)
         else:
             shards = config.make_shards(dataset)
             loss_fn = CrossEntropyLoss()
@@ -335,7 +330,6 @@ class FederatedSimulation:
                     Client(
                         client_id=i,
                         dataset=shard,
-                        model=model_factory(),
                         loss_fn=loss_fn,
                         batch_size=config.batch_size,
                         defense=defense,

@@ -18,7 +18,6 @@ import pytest
 
 from repro.fl import (
     DishonestServer,
-    GradientUpdate,
     RoundBuffer,
     Server,
 )
@@ -40,24 +39,7 @@ from repro.fl.arrivals import (
 )
 from repro.fl.secagg.base import BelowThresholdError
 from repro.nn.module import Module
-
-DIM = 4
-
-
-class StubClient:
-    """Deterministic fake client: every gradient entry equals its id."""
-
-    def __init__(self, client_id: int) -> None:
-        self.client_id = client_id
-
-    def local_update(self, broadcast) -> GradientUpdate:
-        return GradientUpdate(
-            client_id=self.client_id,
-            round_index=broadcast.round_index,
-            num_examples=1,
-            gradients={"w": np.full(DIM, float(self.client_id))},
-            loss=float(self.client_id),
-        )
+from stubs import StubClient
 
 
 class LegacyRoundMixin:
@@ -98,14 +80,18 @@ class LegacyRoundMixin:
             selected
         )
         updates = [
-            client.local_update(self.broadcast_to(client, broadcast))
+            client.local_update(
+                self.broadcast_to(client, broadcast), self.workspace
+            )
             for client in active
         ]
         late = (
             []
             if protocol_mode
             else [
-                client.local_update(self.broadcast_to(client, broadcast))
+                client.local_update(
+                    self.broadcast_to(client, broadcast), self.workspace
+                )
                 for client in stragglers
             ]
         )

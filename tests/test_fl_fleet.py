@@ -1,7 +1,7 @@
 """Lazy-fleet tests: O(cohort) materialization, factory contract, soak.
 
 The fleet is what makes 100k–1M registered users affordable: registration
-stores a factory and a count, and a ``Client`` (shard, model, RNG stream)
+stores a factory and a count, and a ``Client`` (shard, RNG stream)
 exists only once the engine dispatches its id.  These tests pin the
 laziness itself (materialized counts), the purity contract that makes
 laziness sound (``factory(i).client_id == i``, same client object across
@@ -20,7 +20,6 @@ from repro.fl import (
     FederationConfig,
     FederatedSimulation,
     Fleet,
-    GradientUpdate,
     Server,
     TimeCutoff,
     make_lazy_fleet,
@@ -28,22 +27,7 @@ from repro.fl import (
 from repro.fl.engine import ticks
 from repro.nn import MLP
 from repro.nn.module import Module
-
-DIM = 4
-
-
-class StubClient:
-    def __init__(self, client_id: int) -> None:
-        self.client_id = client_id
-
-    def local_update(self, broadcast) -> GradientUpdate:
-        return GradientUpdate(
-            client_id=self.client_id,
-            round_index=broadcast.round_index,
-            num_examples=1,
-            gradients={"w": np.full(DIM, float(self.client_id))},
-            loss=float(self.client_id),
-        )
+from stubs import StubClient
 
 
 class TestFleetRegistry:
@@ -140,12 +124,8 @@ class TestLazySimulation:
 
     def test_shards_are_pure_functions_of_client_id(self, dataset):
         config = self.make_config(1000, shard_size=4)
-        factory = lambda: MLP(
-            [dataset.flat_dim, 4, dataset.num_classes],
-            rng=np.random.default_rng(0),
-        )
-        one = make_lazy_fleet(dataset, factory, config)
-        other = make_lazy_fleet(dataset, factory, config)
+        one = make_lazy_fleet(dataset, config)
+        other = make_lazy_fleet(dataset, config)
         # Materialize in different orders; shards must match per id.
         for cid in (977, 3, 500):
             np.testing.assert_array_equal(
@@ -175,13 +155,32 @@ class TestLazySimulation:
         for record in records:
             assert record.timing is not None
 
+    @pytest.mark.parametrize("fleet_size", [0, 100_000])
+    def test_model_factory_builds_one_model(self, dataset, fleet_size):
+        # One global model per federation, however many clients exist:
+        # clients train in the server's workspace, never in a model of
+        # their own.
+        builds = []
+
+        def factory():
+            builds.append(1)
+            return MLP(
+                [dataset.flat_dim, 4, dataset.num_classes],
+                rng=np.random.default_rng(0),
+            )
+
+        config = self.make_config(fleet_size, num_clients=10, clients_per_round=8)
+        sim = FederatedSimulation(dataset, factory, config)
+        sim.run(1)
+        assert sim.fleet.materialized_count == (8 if fleet_size else 10)
+        assert len(builds) == 1
+        assert not hasattr(sim.fleet.get(0), "model")
+
     def test_lazy_fleet_validates_inputs(self, dataset):
         with pytest.raises(ValueError, match="fleet_size"):
-            make_lazy_fleet(dataset, Module, self.make_config(0))
+            make_lazy_fleet(dataset, self.make_config(0))
         with pytest.raises(ValueError, match="shard_size"):
-            make_lazy_fleet(
-                dataset, Module, self.make_config(10, shard_size=10_000)
-            )
+            make_lazy_fleet(dataset, self.make_config(10, shard_size=10_000))
 
 
 @pytest.mark.fleet_scale

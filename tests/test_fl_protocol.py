@@ -53,9 +53,9 @@ class TestPartition:
 class TestClient:
     def test_local_update_contents(self, fl_dataset):
         model = make_mlp(fl_dataset)
-        client = Client(0, fl_dataset, model, CrossEntropyLoss(), batch_size=4, seed=1)
+        client = Client(0, fl_dataset, CrossEntropyLoss(), batch_size=4, seed=1)
         broadcast = ModelBroadcast(round_index=0, state=model.state_dict())
-        update = client.local_update(broadcast)
+        update = client.local_update(broadcast, model)
         assert update.client_id == 0
         assert update.num_examples == 4
         assert np.isfinite(update.loss)
@@ -67,27 +67,29 @@ class TestClient:
         # FedAvg a defended client must not outweigh an undefended one.
         model = make_mlp(fl_dataset)
         client = Client(
-            0, fl_dataset, model, CrossEntropyLoss(), batch_size=4,
+            0, fl_dataset, CrossEntropyLoss(), batch_size=4,
             defense=OasisDefense("MR"), seed=1,
         )
-        update = client.local_update(ModelBroadcast(0, model.state_dict()))
+        update = client.local_update(ModelBroadcast(0, model.state_dict()), model)
         assert update.num_examples == 4
 
     def test_client_loads_broadcast_state(self, fl_dataset):
-        model = make_mlp(fl_dataset)
-        client = Client(0, fl_dataset, model, CrossEntropyLoss(), batch_size=4)
+        # The client trains in the workspace it is handed: whatever that
+        # model held before, it leaves holding the broadcast state.
+        workspace = make_mlp(fl_dataset)
+        client = Client(0, fl_dataset, CrossEntropyLoss(), batch_size=4)
         reference = make_mlp(fl_dataset)
         for p in reference.parameters():
             p.data[:] = 0.123
-        client.local_update(ModelBroadcast(0, reference.state_dict()))
-        np.testing.assert_allclose(
-            next(iter(client.model.parameters())).data, 0.123
-        )
+        client.local_update(ModelBroadcast(0, reference.state_dict()), workspace)
+        for p in workspace.parameters():
+            np.testing.assert_allclose(p.data, 0.123)
+        assert not hasattr(client, "model")
 
     def test_last_batch_recorded(self, fl_dataset):
         model = make_mlp(fl_dataset)
-        client = Client(0, fl_dataset, model, CrossEntropyLoss(), batch_size=4)
-        client.local_update(ModelBroadcast(0, model.state_dict()))
+        client = Client(0, fl_dataset, CrossEntropyLoss(), batch_size=4)
+        client.local_update(ModelBroadcast(0, model.state_dict()), model)
         assert client.last_batch is not None
         assert len(client.last_batch[0]) == 4
 
@@ -95,8 +97,7 @@ class TestClient:
 class TestHonestServer:
     def _make_federation(self, fl_dataset, num_clients=3):
         clients = [
-            Client(i, shard, make_mlp(fl_dataset), CrossEntropyLoss(), batch_size=4,
-                   seed=7)
+            Client(i, shard, CrossEntropyLoss(), batch_size=4, seed=7)
             for i, shard in enumerate(partition_dataset(fl_dataset, num_clients))
         ]
         return Server(make_mlp(fl_dataset), clients, learning_rate=0.5, seed=0)
@@ -118,7 +119,7 @@ class TestHonestServer:
 
     def test_client_subset_selection(self, fl_dataset):
         clients = [
-            Client(i, shard, make_mlp(fl_dataset), CrossEntropyLoss(), batch_size=4)
+            Client(i, shard, CrossEntropyLoss(), batch_size=4)
             for i, shard in enumerate(partition_dataset(fl_dataset, 4))
         ]
         server = Server(make_mlp(fl_dataset), clients, clients_per_round=2, seed=0)
@@ -145,7 +146,7 @@ class TestDishonestServer:
                                   fl_dataset.num_classes,
                                   rng=np.random.default_rng(5))
         clients = [
-            Client(i, shard, factory(), CrossEntropyLoss(), batch_size=3, seed=11)
+            Client(i, shard, CrossEntropyLoss(), batch_size=3, seed=11)
             for i, shard in enumerate(partition_dataset(fl_dataset, 2))
         ]
         attack = RTFAttack(num_neurons)
@@ -168,7 +169,7 @@ class TestDishonestServer:
                                   fl_dataset.num_classes,
                                   rng=np.random.default_rng(5))
         clients = [
-            Client(0, fl_dataset, factory(), CrossEntropyLoss(), batch_size=3)
+            Client(0, fl_dataset, CrossEntropyLoss(), batch_size=3)
         ]
         attack = RTFAttack(num_neurons)
         attack.calibrate_from_public_data(fl_dataset.images)
@@ -186,8 +187,7 @@ class TestDishonestServer:
                                   fl_dataset.num_classes,
                                   rng=np.random.default_rng(5))
         clients = [
-            Client(i, fl_dataset, factory(), CrossEntropyLoss(), batch_size=3,
-                   seed=11)
+            Client(i, fl_dataset, CrossEntropyLoss(), batch_size=3, seed=11)
             for i in range(3)
         ]
         attack = RTFAttack(num_neurons)
@@ -211,7 +211,7 @@ class TestDishonestServer:
                                   fl_dataset.num_classes,
                                   rng=np.random.default_rng(5))
         clients = [
-            Client(i, fl_dataset, factory(), CrossEntropyLoss(), batch_size=3)
+            Client(i, fl_dataset, CrossEntropyLoss(), batch_size=3)
             for i in range(2)
         ]
         attack = RTFAttack(num_neurons)

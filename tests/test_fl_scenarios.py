@@ -13,7 +13,6 @@ from repro.data import make_synthetic_dataset
 from repro.fl import (
     FederatedSimulation,
     FederationConfig,
-    GradientUpdate,
     Server,
     dirichlet_partition_indices,
     partition_dataset_dirichlet,
@@ -21,24 +20,7 @@ from repro.fl import (
 )
 from repro.nn import MLP
 from repro.nn.module import Module
-
-DIM = 4
-
-
-class StubClient:
-    """Deterministic fake client: every gradient entry equals its id."""
-
-    def __init__(self, client_id: int) -> None:
-        self.client_id = client_id
-
-    def local_update(self, broadcast) -> GradientUpdate:
-        return GradientUpdate(
-            client_id=self.client_id,
-            round_index=broadcast.round_index,
-            num_examples=1,
-            gradients={"w": np.full(DIM, float(self.client_id))},
-            loss=float(self.client_id),
-        )
+from stubs import STUB_DIM as DIM, StubClient
 
 
 def make_stub_server(num_clients, **kwargs):
@@ -243,8 +225,8 @@ class TestSamplingAndStragglers:
         class Weighted(StubClient):
             """Stub whose num_examples is 1 for even ids, 3 for odd ids."""
 
-            def local_update(self, broadcast):
-                update = super().local_update(broadcast)
+            def local_update(self, broadcast, model):
+                update = super().local_update(broadcast, model)
                 update.num_examples = 1 if self.client_id % 2 == 0 else 3
                 return update
 

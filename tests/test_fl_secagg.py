@@ -16,7 +16,6 @@ import pytest
 from repro.fl import (
     DishonestServer,
     FixedPointCodec,
-    GradientUpdate,
     Server,
     make_aggregator,
 )
@@ -31,6 +30,7 @@ from repro.fl.secagg import field as F
 from repro.fl.secagg.masking import expand_ring_mask
 from repro.fl.secagg.shamir import reconstruct_secrets, share_secrets
 from repro.nn.module import Module
+from stubs import StubClient
 
 DIM = 5
 PROTOCOL_NAMES = ["secagg", "secagg_oneshot"]
@@ -42,24 +42,9 @@ def grid_matrix(count, dim=DIM, seed=0):
     return rng.integers(-4000, 4000, (count, dim)) / 1024.0
 
 
-class StubClient:
-    """Deterministic fake client: every gradient entry equals its id."""
-
-    def __init__(self, client_id: int) -> None:
-        self.client_id = client_id
-
-    def local_update(self, broadcast) -> GradientUpdate:
-        return GradientUpdate(
-            client_id=self.client_id,
-            round_index=broadcast.round_index,
-            num_examples=1,
-            gradients={"w": np.full(DIM, float(self.client_id))},
-            loss=float(self.client_id),
-        )
-
-
 def make_stub_server(num_clients, **kwargs):
-    return Server(Module(), [StubClient(i) for i in range(num_clients)], **kwargs)
+    clients = [StubClient(i, DIM) for i in range(num_clients)]
+    return Server(Module(), clients, **kwargs)
 
 
 class TestField:
@@ -412,7 +397,7 @@ class TestServerIntegration:
         attack = PerUpdateAttack()
         server = DishonestServer(
             Module(),
-            [StubClient(i) for i in range(8)],
+            [StubClient(i, DIM) for i in range(8)],
             attack,
             aggregator=name,
             seed=0,
@@ -439,7 +424,7 @@ class TestServerIntegration:
 
         server = DishonestServer(
             Module(),
-            [StubClient(i) for i in range(8)],
+            [StubClient(i, DIM) for i in range(8)],
             AggregateAttack(),
             aggregator=name,
             seed=0,

@@ -112,14 +112,13 @@ class TestFedAvgWeightParity:
         client = Client(
             client_id=0,
             dataset=sweep_dataset,
-            model=model,
             loss_fn=CrossEntropyLoss(),
             batch_size=3,
             defense=make_defense(spec, seed=5),
             seed=0,
         )
         update = client.local_update(
-            ModelBroadcast(round_index=0, state=model.state_dict())
+            ModelBroadcast(round_index=0, state=model.state_dict()), model
         )
         # Expansion is a privacy mechanism, not extra data: under
         # example-weighted FedAvg the defended client must weigh exactly
@@ -131,14 +130,13 @@ class TestFedAvgWeightParity:
         client = Client(
             client_id=0,
             dataset=sweep_dataset,
-            model=model,
             loss_fn=CrossEntropyLoss(),
             batch_size=3,
             defense="prune",  # spec strings resolve through the registry
             seed=0,
         )
         update = client.local_update(
-            ModelBroadcast(round_index=0, state=model.state_dict())
+            ModelBroadcast(round_index=0, state=model.state_dict()), model
         )
         assert update.num_examples == 3
 
