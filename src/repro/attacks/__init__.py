@@ -1,8 +1,8 @@
 """Active reconstruction attacks: the pluggable attack zoo.
 
 Built-in entries: RTF, CAH, linear-model inversion, QBI, and LOKI — all
-registered in :mod:`repro.attacks.registry` and resolvable by name through
-:func:`make_attack`.
+registered in the :data:`~repro.attacks.registry.ATTACKS` table and
+resolvable by name through :func:`make_attack`.
 """
 
 from repro.attacks.base import (
@@ -23,15 +23,13 @@ from repro.attacks.linear import LinearClassifier, LinearModelInversion
 from repro.attacks.loki import LOKIAttack
 from repro.attacks.qbi import QBIAttack, sole_activation_probability
 from repro.attacks.registry import (
+    ATTACKS,
     AttackRegistryError,
     AttackSpec,
     DuplicateAttackError,
     UnknownAttackError,
-    attack_spec,
-    available_attacks,
     make_attack,
-    register_attack,
-    unregister_attack,
+    make_global_model,
 )
 from repro.attacks.rtf import RTFAttack
 from repro.attacks.traps import TrapImprintAttack
@@ -54,13 +52,11 @@ __all__ = [
     "sole_activation_probability",
     "LinearClassifier",
     "LinearModelInversion",
+    "ATTACKS",
     "AttackSpec",
     "AttackRegistryError",
     "UnknownAttackError",
     "DuplicateAttackError",
-    "register_attack",
-    "unregister_attack",
-    "attack_spec",
-    "available_attacks",
     "make_attack",
+    "make_global_model",
 ]

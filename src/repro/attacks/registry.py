@@ -14,9 +14,9 @@ Adding an attack to the zoo:
    and the large-scale hooks ``craft_for_client`` /
    ``reconstruct_per_client`` — see :mod:`repro.attacks.loki`).  Its
    knobs are the constructor's keyword parameters with defaults.
-2. Register it::
+2. Register it in the zoo's table::
 
-       register_attack(AttackSpec(
+       ATTACKS.register(AttackSpec(
            name="myattack",
            factory=MyAttack,
            model="imprint",
@@ -27,11 +27,9 @@ Adding an attack to the zoo:
    --attacks myattack`` and every registry-driven test picks it up
    automatically.
 
-Register at import time, in a module that parallel sweep workers also
-import: under the ``spawn`` start method (the default off Linux) each
-worker re-imports this registry fresh, so a registration executed only
-in the parent process is invisible to workers and that attack's cells
-fail with :class:`UnknownAttackError` despite a working serial run.
+:class:`~repro.utils.registry.Registry` owns the naming policy (valid
+identifiers, no silent duplicates, the unknown-name error) and explains
+why registrations belong at import time.
 """
 
 from __future__ import annotations
@@ -43,11 +41,14 @@ import numpy as np
 
 from repro.attacks.base import ActiveReconstructionAttack
 from repro.attacks.cah import CAHAttack
-from repro.attacks.linear import LinearModelInversion
+from repro.attacks.imprint import ImprintedModel
+from repro.attacks.linear import LinearClassifier, LinearModelInversion
 from repro.attacks.loki import LOKIAttack
 from repro.attacks.qbi import QBIAttack
 from repro.attacks.rtf import RTFAttack
+from repro.nn.module import Module
 from repro.utils.knobs import signature_knobs
+from repro.utils.registry import Registry
 
 
 class AttackRegistryError(ValueError):
@@ -98,45 +99,14 @@ class AttackSpec:
         object.__setattr__(self, "supplied", supplied)
 
 
-_REGISTRY: dict[str, AttackSpec] = {}
-
-
-def register_attack(spec: AttackSpec, replace: bool = False) -> AttackSpec:
-    """Add ``spec`` to the zoo; duplicate names are an error unless replacing."""
-    if not spec.name or not spec.name.isidentifier():
-        raise AttackRegistryError(
-            f"attack name {spec.name!r} must be a non-empty identifier"
-        )
-    if spec.name in _REGISTRY and not replace:
-        raise DuplicateAttackError(
-            f"attack {spec.name!r} is already registered; pass replace=True "
-            "to overwrite it deliberately"
-        )
-    _REGISTRY[spec.name] = spec
-    return spec
-
-
-def unregister_attack(name: str) -> None:
-    """Remove an attack from the zoo (plugin teardown / test hygiene)."""
-    if name not in _REGISTRY:
-        raise UnknownAttackError(f"cannot unregister unknown attack {name!r}")
-    del _REGISTRY[name]
-
-
-def attack_spec(name: str) -> AttackSpec:
-    """Look up a registered attack, with a helpful unknown-name error."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise UnknownAttackError(
-            f"unknown attack {name!r}; registered attacks: "
-            f"{', '.join(available_attacks())}"
-        ) from None
-
-
-def available_attacks() -> tuple[str, ...]:
-    """All registered attack names, in registration order."""
-    return tuple(_REGISTRY)
+ATTACKS: Registry[AttackSpec] = Registry(
+    "attack",
+    r"[A-Za-z_][A-Za-z0-9_]*",
+    "a non-empty identifier",
+    error=AttackRegistryError,
+    unknown=UnknownAttackError,
+    duplicate=DuplicateAttackError,
+)
 
 
 def make_attack(
@@ -154,7 +124,7 @@ def make_attack(
     ``calibrate_from_public_data`` hook calibrate on non-empty
     ``public_images``.
     """
-    spec = attack_spec(name)
+    spec = ATTACKS[name]
     unknown = set(knobs) - set(spec.knobs)
     if unknown:
         raise AttackRegistryError(
@@ -174,7 +144,28 @@ def make_attack(
     return attack
 
 
-register_attack(AttackSpec(
+def make_global_model(
+    attack_name: str, dataset, num_neurons: int, seed: int
+) -> Module:
+    """The global model ``attack_name`` targets, initialized from ``seed``.
+
+    Keyed by the spec's ``model`` family: imprint attacks get the
+    malicious-layer :class:`~repro.attacks.imprint.ImprintedModel` with
+    ``num_neurons`` trap neurons; the linear inversion runs against the
+    paper's single-layer classifier.  ``dataset`` supplies the input
+    shape and class count.
+    """
+    rng = np.random.default_rng(seed)
+    if ATTACKS[attack_name].model == "linear":
+        return LinearClassifier(
+            dataset.image_shape, dataset.num_classes, rng=rng
+        )
+    return ImprintedModel(
+        dataset.image_shape, num_neurons, dataset.num_classes, rng=rng
+    )
+
+
+ATTACKS.register(AttackSpec(
     name="rtf",
     factory=RTFAttack,
     description=(
@@ -183,7 +174,7 @@ register_attack(AttackSpec(
     ),
 ))
 
-register_attack(AttackSpec(
+ATTACKS.register(AttackSpec(
     name="cah",
     factory=CAHAttack,
     description=(
@@ -192,7 +183,7 @@ register_attack(AttackSpec(
     ),
 ))
 
-register_attack(AttackSpec(
+ATTACKS.register(AttackSpec(
     name="linear",
     factory=LinearModelInversion,
     model="linear",
@@ -203,7 +194,7 @@ register_attack(AttackSpec(
     ),
 ))
 
-register_attack(AttackSpec(
+ATTACKS.register(AttackSpec(
     name="qbi",
     factory=QBIAttack,
     description=(
@@ -212,7 +203,7 @@ register_attack(AttackSpec(
     ),
 ))
 
-register_attack(AttackSpec(
+ATTACKS.register(AttackSpec(
     name="loki",
     factory=LOKIAttack,
     description=(

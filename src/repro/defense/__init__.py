@@ -14,19 +14,16 @@ from repro.defense.detection import DetectionReport, inspect_state
 from repro.defense.oasis import OasisDefense
 from repro.defense.pipeline import STAGE_SEPARATOR, DefensePipeline
 from repro.defense.registry import (
+    DEFENSES,
     DefenseRegistryError,
     DefenseSpec,
     DefenseSpecError,
     DuplicateDefenseError,
     UnknownDefenseError,
-    available_defenses,
     canonical_spec,
-    defense_spec,
     make_defense,
     parse_defense_spec,
-    register_defense,
     split_spec_list,
-    unregister_defense,
     validate_defense_spec,
 )
 from repro.defense.tabular import (
@@ -47,19 +44,16 @@ __all__ = [
     "GradientPruningDefense",
     "TransformReplaceDefense",
     "defense_lineup",
+    "DEFENSES",
     "DefenseSpec",
     "DefenseRegistryError",
     "DefenseSpecError",
     "DuplicateDefenseError",
     "UnknownDefenseError",
-    "available_defenses",
     "canonical_spec",
-    "defense_spec",
     "make_defense",
     "parse_defense_spec",
-    "register_defense",
     "split_spec_list",
-    "unregister_defense",
     "validate_defense_spec",
     "ActivationOverlapReport",
     "activation_overlap_report",

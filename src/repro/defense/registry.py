@@ -31,9 +31,9 @@ Adding a defense:
    hooks you use; override ``reseed`` only if you hold private state
    beyond the base class's ``_rng``).  Its knobs are the constructor's
    keyword parameters with defaults.
-2. Register it::
+2. Register it in the defense table::
 
-       register_defense(DefenseSpec(
+       DEFENSES.register(DefenseSpec(
            name="mydefense",
            factory=MyDefense,
            stage="gradient",
@@ -44,9 +44,8 @@ Adding a defense:
    --defenses mydefense`` (and composable: ``MR>mydefense``), and every
    registry-driven test picks it up automatically.
 
-Register at import time, in a module that parallel sweep workers also
-import: under the ``spawn`` start method each worker re-imports this
-registry fresh, so a parent-only registration is invisible to workers.
+:class:`~repro.utils.registry.Registry` owns the naming policy and
+explains why registrations belong at import time.
 """
 
 from __future__ import annotations
@@ -68,6 +67,7 @@ from repro.defense.oasis import OasisDefense
 from repro.defense.pipeline import STAGE_SEPARATOR, DefensePipeline
 from repro.defense.tabular import TabularOasisDefense
 from repro.utils.knobs import signature_knobs
+from repro.utils.registry import Registry
 from repro.utils.rng import derive_seed
 
 
@@ -119,49 +119,15 @@ class DefenseSpec:
 
 # Registered names may carry "+" (suite unions like MR+SH) but none of the
 # grammar's structural characters (">", parens, commas, "=", whitespace).
-_NAME_PATTERN = re.compile(r"^[A-Za-z0-9_+-]+$")
-
-_REGISTRY: dict[str, DefenseSpec] = {}
-
-
-def register_defense(spec: DefenseSpec, replace: bool = False) -> DefenseSpec:
-    """Add ``spec`` to the registry; duplicates are an error unless replacing."""
-    if not spec.name or not _NAME_PATTERN.match(spec.name):
-        raise DefenseRegistryError(
-            f"defense name {spec.name!r} must be non-empty and use only "
-            "letters, digits, '_', '+', '-' (the spec grammar reserves "
-            "'>', parentheses, commas, and '=')"
-        )
-    if spec.name in _REGISTRY and not replace:
-        raise DuplicateDefenseError(
-            f"defense {spec.name!r} is already registered; pass replace=True "
-            "to overwrite it deliberately"
-        )
-    _REGISTRY[spec.name] = spec
-    return spec
-
-
-def unregister_defense(name: str) -> None:
-    """Remove a defense from the registry (plugin teardown / test hygiene)."""
-    if name not in _REGISTRY:
-        raise UnknownDefenseError(f"cannot unregister unknown defense {name!r}")
-    del _REGISTRY[name]
-
-
-def defense_spec(name: str) -> DefenseSpec:
-    """Look up a registered defense, with a helpful unknown-name error."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise UnknownDefenseError(
-            f"unknown defense {name!r}; registered defenses: "
-            f"{', '.join(available_defenses())}"
-        ) from None
-
-
-def available_defenses() -> tuple[str, ...]:
-    """All registered defense names, in registration order."""
-    return tuple(_REGISTRY)
+DEFENSES: Registry[DefenseSpec] = Registry(
+    "defense",
+    r"[A-Za-z0-9_+-]+",
+    "non-empty and use only letters, digits, '_', '+', '-' (the spec "
+    "grammar reserves '>', parentheses, commas, and '=')",
+    error=DefenseRegistryError,
+    unknown=UnknownDefenseError,
+    duplicate=DuplicateDefenseError,
+)
 
 
 def _parse_value(text: str):
@@ -336,7 +302,7 @@ def make_defense(
         )
     built: list[ClientDefense] = []
     for name, kwargs in stages:
-        registered = defense_spec(name)
+        registered = DEFENSES[name]
         merged = {**kwargs, **knobs} if len(stages) == 1 else kwargs
         unknown = set(merged) - set(registered.knobs)
         if unknown:
@@ -381,7 +347,7 @@ def _make_tabular(num_features: int = 8):
     return TabularOasisDefense(num_features=num_features)
 
 
-register_defense(DefenseSpec(
+DEFENSES.register(DefenseSpec(
     name="WO",
     factory=NoDefense,
     stage="none",
@@ -389,7 +355,7 @@ register_defense(DefenseSpec(
 ))
 
 for _suite_name in available_suites():
-    register_defense(DefenseSpec(
+    DEFENSES.register(DefenseSpec(
         name=_suite_name,
         factory=_make_oasis(_suite_name),
         stage="batch",
@@ -399,7 +365,7 @@ for _suite_name in available_suites():
         ),
     ))
 
-register_defense(DefenseSpec(
+DEFENSES.register(DefenseSpec(
     name="dpsgd",
     factory=DPSGDDefense,
     stage="gradient",
@@ -410,7 +376,7 @@ register_defense(DefenseSpec(
     ),
 ))
 
-register_defense(DefenseSpec(
+DEFENSES.register(DefenseSpec(
     name="dpfed",
     factory=DPGradientDefense,
     stage="gradient",
@@ -421,7 +387,7 @@ register_defense(DefenseSpec(
     ),
 ))
 
-register_defense(DefenseSpec(
+DEFENSES.register(DefenseSpec(
     name="prune",
     factory=GradientPruningDefense,
     stage="gradient",
@@ -431,7 +397,7 @@ register_defense(DefenseSpec(
     ),
 ))
 
-register_defense(DefenseSpec(
+DEFENSES.register(DefenseSpec(
     name="ats",
     factory=TransformReplaceDefense,
     stage="batch",
@@ -443,7 +409,7 @@ register_defense(DefenseSpec(
     ),
 ))
 
-register_defense(DefenseSpec(
+DEFENSES.register(DefenseSpec(
     name="tabular",
     factory=_make_tabular,
     stage="batch",

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.attacks.imprint import ImprintedModel
-from repro.attacks.registry import make_attack
+from repro.attacks.registry import make_attack, make_global_model
 from repro.data.synthetic import SyntheticImageDataset
 from repro.defense.baselines import TransformReplaceDefense
 from repro.defense.oasis import OasisDefense
@@ -50,12 +49,7 @@ def run_ats_comparison(
     """RTF against transform-replace (ATS) and against OASIS, same batch."""
     rng = np.random.default_rng((seed, batch_size))
     images, labels = dataset.sample_batch(min(batch_size, len(dataset)), rng)
-    model = ImprintedModel(
-        dataset.image_shape,
-        num_neurons,
-        dataset.num_classes,
-        rng=np.random.default_rng(seed + 1),
-    )
+    model = make_global_model("rtf", dataset, num_neurons, seed + 1)
     attack = make_attack("rtf", num_neurons, dataset.images[:200], seed=seed)
     attack.craft(model)
     loss_fn = CrossEntropyLoss()

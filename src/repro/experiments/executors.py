@@ -232,21 +232,18 @@ class WorkStealingSweepExecutor:
         Worker-process count; capped at the number of pending tasks.
         Construct directly to force a count; :func:`make_executor` caps
         requests at the usable cores instead of oversubscribing.
-    start_method:
-        ``multiprocessing`` start method; default is ``fork`` on Linux
-        (cheap, inherits loaded numpy) and the platform default elsewhere
-        (forking after BLAS/framework init is unsafe on macOS).
+
+    Workers start by ``fork`` on Linux (cheap, inherits loaded numpy) and
+    by the platform default elsewhere (forking after BLAS/framework init
+    is unsafe on macOS).
     """
 
-    def __init__(self, workers: int, start_method: Optional[str] = None) -> None:
+    def __init__(self, workers: int) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
-        self.start_method = start_method
 
     def _context(self):
-        if self.start_method is not None:
-            return multiprocessing.get_context(self.start_method)
         if sys.platform == "linux":
             return multiprocessing.get_context("fork")
         return multiprocessing.get_context()
@@ -354,9 +351,7 @@ def usable_cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def make_executor(
-    workers: "int | None" = 1, start_method: Optional[str] = None
-):
+def make_executor(workers: "int | None" = 1):
     """Build the right executor for ``workers``, never oversubscribing.
 
     ``None`` (or ``"auto"``) asks for every usable core.  A request
@@ -385,7 +380,7 @@ def make_executor(
         workers = cap
     if workers <= 1:
         return SerialSweepExecutor()
-    return WorkStealingSweepExecutor(workers, start_method=start_method)
+    return WorkStealingSweepExecutor(workers)
 
 
 def run_tasks(

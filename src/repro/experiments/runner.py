@@ -15,9 +15,8 @@ from typing import Optional
 import numpy as np
 
 from repro.attacks.base import ReconstructionResult
-from repro.attacks.imprint import ImprintedModel
 from repro.attacks.linear import LinearClassifier, LinearModelInversion
-from repro.attacks.registry import make_attack
+from repro.attacks.registry import make_attack, make_global_model
 from repro.data.loaders import class_balanced_batch
 from repro.data.synthetic import SyntheticImageDataset
 from repro.defense.base import ClientDefense, NoDefense
@@ -112,20 +111,17 @@ def run_attack_trial(
 ) -> AttackTrialResult:
     """One full dishonest-server round against one client batch.
 
-    The attacker calibrates on the first ``public_size`` dataset images (the
-    standard public-prior assumption of RTF/CAH); the client batch is drawn
-    with the trial seed, so trials are reproducible and independent.
+    The global model is the one the attack targets (see
+    :func:`~repro.attacks.registry.make_global_model`).  The attacker
+    calibrates on the first ``public_size`` dataset images (the standard
+    public-prior assumption of RTF/CAH); the client batch is drawn with
+    the trial seed, so trials are reproducible and independent.
     """
     defense = defense if defense is not None else NoDefense()
     rng = np.random.default_rng((seed, batch_size, num_neurons))
     images, labels = dataset.sample_batch(min(batch_size, len(dataset)), rng)
 
-    model = ImprintedModel(
-        dataset.image_shape,
-        num_neurons,
-        dataset.num_classes,
-        rng=np.random.default_rng(seed + 1),
-    )
+    model = make_global_model(attack_name, dataset, num_neurons, seed + 1)
     attack = make_attack(
         attack_name, num_neurons, dataset.images[:public_size], seed=seed
     )

@@ -86,13 +86,13 @@ from repro.data.synthetic import (
     synthetic_cifar100,
 )
 from repro.attacks.registry import (
+    ATTACKS,
     UnknownAttackError,
-    attack_spec,
-    available_attacks,
     make_attack,
+    make_global_model,
 )
 from repro.defense.registry import (
-    available_defenses,
+    DEFENSES,
     make_defense,
     split_spec_list,
     validate_defense_spec,
@@ -424,7 +424,7 @@ class SweepRunner:
             if len(axis) != len(set(axis)):
                 raise ValueError(f"duplicate {axis_label} in {axis}")
         for name in attacks:
-            attack_spec(name)  # fail fast on unknown attacks, not per cell
+            ATTACKS[name]  # fail fast on unknown attacks, not per cell
         for spec in defenses:
             validate_defense_spec(spec)  # likewise for the defense axis
         self.dataset = dataset
@@ -513,40 +513,6 @@ class SweepRunner:
         """
         return derive_seed(self.seed, self.store_key(cell))
 
-    def _model_factory(self, seed: int, attack_name: str):
-        """Global-model factory matching the attack's declared target.
-
-        Imprint-family attacks get the malicious-layer
-        :class:`~repro.attacks.imprint.ImprintedModel`; the linear
-        inversion runs against the paper's single-layer classifier.
-        """
-        dataset = self.dataset
-        num_neurons = self.num_neurons
-        model_kind = attack_spec(attack_name).model
-
-        if model_kind == "linear":
-            from repro.attacks.linear import LinearClassifier
-
-            def factory():
-                return LinearClassifier(
-                    dataset.image_shape,
-                    dataset.num_classes,
-                    rng=np.random.default_rng(seed + 1),
-                )
-
-            return factory
-        from repro.attacks.imprint import ImprintedModel
-
-        def factory():
-            return ImprintedModel(
-                dataset.image_shape,
-                num_neurons,
-                dataset.num_classes,
-                rng=np.random.default_rng(seed + 1),
-            )
-
-        return factory
-
     def run_cell(self, cell: SweepCell) -> dict:
         """Evaluate one cell through the full dishonest-server protocol."""
         scenario = self.scenarios[cell.scenario]
@@ -563,7 +529,9 @@ class SweepRunner:
         defense = make_defense(cell.defense, seed=seed)
         simulation = FederatedSimulation(
             self.dataset,
-            self._model_factory(seed, cell.attack),
+            lambda: make_global_model(
+                cell.attack, self.dataset, self.num_neurons, seed + 1
+            ),
             scenario.to_config(self.batch_size, seed),
             defense=defense,
             attack=attack,
@@ -831,7 +799,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         default=None,
         help=(
             "comma-separated attack names overriding the preset's attack "
-            f"axis; registered: {', '.join(available_attacks())}"
+            f"axis; registered: {', '.join(ATTACKS.names())}"
         ),
     )
     parser.add_argument(
@@ -842,7 +810,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "axis; arms are registry spec strings, including knobbed "
             "variants like dpsgd(noise_multiplier=0.5) and composed stacks "
             "like MR>dpsgd (quote '>' from the shell); registered: "
-            f"{', '.join(available_defenses())}"
+            f"{', '.join(DEFENSES.names())}"
         ),
     )
     parser.add_argument(
@@ -885,7 +853,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             parser.error(f"--attacks lists a name twice: {', '.join(attacks)}")
         for name in attacks:
             try:
-                attack_spec(name)
+                ATTACKS[name]
             except UnknownAttackError as error:
                 parser.error(str(error))
 

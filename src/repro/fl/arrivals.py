@@ -35,11 +35,12 @@ same discipline the sweep engine's byte-identity rests on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from repro.fl.engine import RoundPlan, ScheduledCompletion, ticks
+from repro.utils.registry import Registry
 from repro.utils.rng import seed_sequence_for
 
 
@@ -337,12 +338,21 @@ class TieredArrivals(ArrivalProcess):
 # Registry.
 # --------------------------------------------------------------------------
 
-_NAMED_PROCESSES = ("instant", "uniform", "tiered", "tiered-diurnal")
+
+def _tiered_diurnal(seed: int = 0, **options) -> TieredArrivals:
+    """``tiered`` with a default :class:`DiurnalCycle` attached."""
+    options.setdefault("diurnal", DiurnalCycle())
+    return TieredArrivals(seed=seed, **options)
 
 
-def arrival_process_names() -> tuple[str, ...]:
-    """Every named arrival process the config layer accepts."""
-    return _NAMED_PROCESSES
+# Lookups lower-case the requested name, so registered names must be
+# lower-case too.
+ARRIVALS: Registry[Callable[..., ArrivalProcess]] = Registry(
+    "arrival process", r"[a-z][a-z0-9-]*", "lower-case words joined by '-'"
+)
+for _process in (InstantArrivals, UniformArrivals, TieredArrivals):
+    ARRIVALS.register(_process)
+ARRIVALS.register(_tiered_diurnal, name="tiered-diurnal")
 
 
 def make_arrivals(
@@ -365,7 +375,8 @@ def make_arrivals(
             raise ValueError("cannot pass options with a process instance")
         return spec
     name = "instant" if spec is None else str(spec).lower()
-    if name == "instant":
+    process = ARRIVALS[name]
+    if process is InstantArrivals:
         return InstantArrivals(
             dropout_rate=dropout_rate, straggler_rate=straggler_rate, **options
         )
@@ -374,13 +385,4 @@ def make_arrivals(
             f"arrival process {name!r} derives dropout and straggling from "
             "timing traces; rate knobs must stay zero under it"
         )
-    if name == "uniform":
-        return UniformArrivals(seed=seed, **options)
-    if name == "tiered":
-        return TieredArrivals(seed=seed, **options)
-    if name == "tiered-diurnal":
-        options.setdefault("diurnal", DiurnalCycle())
-        return TieredArrivals(seed=seed, **options)
-    raise ValueError(
-        f"unknown arrival process {spec!r}; choose from {_NAMED_PROCESSES}"
-    )
+    return process(seed=seed, **options)

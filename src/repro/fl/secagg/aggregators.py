@@ -22,6 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..aggregators import (
+    AGGREGATORS,
     Aggregator,
     FixedPointCodec,
     RoundBuffer,
@@ -236,3 +237,7 @@ class OneShotRecoveryAggregator(ProtocolAggregator):
             **session.last_recovery,
         }
         return total_signed.astype(np.float64) / self.scale
+
+
+AGGREGATORS.register(SecAggAggregator)
+AGGREGATORS.register(OneShotRecoveryAggregator)

@@ -94,7 +94,6 @@ class Server:
         arrivals: "str | ArrivalProcess | None" = None,
         arrival_options: Optional[dict] = None,
         cutoff: "CountCutoff | TimeCutoff | None" = None,
-        clock: Optional[VirtualClock] = None,
     ) -> None:
         if isinstance(clients, Fleet):
             self.fleet = clients
@@ -120,7 +119,7 @@ class Server:
         self.accept_stale = accept_stale
         self.weight_by_examples = weight_by_examples
         self._rng = np.random.default_rng(seed)
-        self.clock = clock if clock is not None else VirtualClock()
+        self.clock = VirtualClock()
         self.arrivals = make_arrivals(
             arrivals,
             dropout_rate=dropout_rate,

@@ -187,14 +187,10 @@ class FederationConfig:
     label skew), the participation scenario (``clients_per_round``
     sampling, ``dropout_rate``, ``straggler_rate``, ``accept_stale``), and
     the server-side ``aggregator`` (registry name, class, or instance —
-    see :func:`repro.fl.aggregators.make_aggregator`).
-
-    ``aggregator_options`` are constructor keywords forwarded when the
-    aggregator is given as a name or class — e.g.
-    ``aggregator="secagg", aggregator_options={"threshold": 8}`` pins a
-    SecAgg reconstruction threshold instead of the default strict
-    majority.  They are rejected for instances (the instance is already
-    configured).
+    see :func:`repro.fl.aggregators.make_aggregator`).  A configured
+    instance carries its own options, e.g.
+    ``aggregator=SecAggAggregator(threshold=8)`` pins a SecAgg
+    reconstruction threshold instead of the default strict majority.
 
     Event-engine knobs (all default to the legacy-compatible behaviour):
 
@@ -225,7 +221,6 @@ class FederationConfig:
     straggler_rate: float = 0.0
     accept_stale: bool = False
     aggregator: "str | type[Aggregator] | Aggregator" = "fedavg"
-    aggregator_options: Optional[dict] = None
     weight_by_examples: bool = False
     arrivals: Optional[str] = None
     arrival_options: Optional[dict] = None
@@ -236,7 +231,7 @@ class FederationConfig:
 
     def make_aggregator(self) -> Aggregator:
         """Resolve the configured aggregation rule to an instance."""
-        return make_aggregator(self.aggregator, **(self.aggregator_options or {}))
+        return make_aggregator(self.aggregator)
 
     def make_cutoff(self) -> "CountCutoff | TimeCutoff":
         """Resolve the configured round-close policy."""

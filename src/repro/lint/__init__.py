@@ -10,8 +10,9 @@ machine-checked ones:
 
 - :mod:`repro.lint.engine` — the rule engine: :class:`Rule` /
   :class:`Violation`, per-file AST walks, line pragmas
-  (``# repro-lint: disable=<rule> -- <why>``), and a rule registry
-  mirroring the attack/defense registries.
+  (``# repro-lint: disable=<rule> -- <why>``), and the :data:`RULES` table,
+  the same :class:`~repro.utils.registry.Registry` the attack and
+  defense zoos use.
 - :mod:`repro.lint.rules` — the initial rule pack encoding the real
   invariants: ``no-global-rng``, ``no-raw-write``, ``no-wallclock``,
   ``sorted-iteration``, ``picklable-entry``, ``no-sim-wallclock``,
@@ -34,18 +35,15 @@ from repro.lint.engine import (
     FileContext,
     LintRegistryError,
     PROFILES,
+    RULES,
     Rule,
     UnknownRuleError,
     Violation,
-    available_rules,
     collect_files,
     lint_paths,
     lint_source,
     parse_pragmas,
-    register_rule,
-    rule_by_name,
     rules_for,
-    unregister_rule,
 )
 import repro.lint.rules  # noqa: F401  (registers the built-in rule pack)
 
@@ -54,18 +52,15 @@ __all__ = [
     "FileContext",
     "LintRegistryError",
     "PROFILES",
+    "RULES",
     "Rule",
     "UnknownRuleError",
     "Violation",
-    "available_rules",
     "collect_files",
     "lint_paths",
     "lint_source",
     "parse_pragmas",
-    "register_rule",
-    "rule_by_name",
     "rules_for",
-    "unregister_rule",
     "main",
 ]
 

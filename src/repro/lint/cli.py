@@ -14,22 +14,14 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from repro.lint.engine import (
-    LintRegistryError,
-    PROFILES,
-    available_rules,
-    lint_paths,
-    rule_by_name,
-)
+from repro.lint.engine import PROFILES, RULES, LintRegistryError, lint_paths
 
 
 def _list_rules() -> str:
-    lines = []
-    for name in available_rules():
-        rule = rule_by_name(name)
-        profiles = ",".join(rule.profiles)
-        lines.append(f"{name} [{profiles}] - {rule.description}")
-    return "\n".join(lines)
+    return "\n".join(
+        f"{rule.name} [{','.join(rule.profiles)}] - {rule.description}"
+        for rule in RULES.values()
+    )
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -53,7 +45,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         default=None,
         help=(
             "comma-separated rule names to run instead of the profile's "
-            f"full set; registered: {', '.join(available_rules())}"
+            f"full set; registered: {', '.join(RULES.names())}"
         ),
     )
     parser.add_argument(

@@ -8,9 +8,9 @@ iterates an unordered collection into a store or a seed derivation).  PR
 engine turns them into machine-checked rules.
 
 Architecture mirrors the attack/defense registries: each rule registers a
-:class:`Rule` (name, checker, fix hint, which profiles it runs in) via
-:func:`register_rule`, and every consumer — the ``python -m repro.lint``
-CLI, the tier-1 meta-tests, CI — resolves rules through the registry.
+:class:`Rule` (name, checker, fix hint, which profiles it runs in) in the
+:data:`RULES` table, and every consumer — the ``python -m repro.lint``
+CLI, the tier-1 meta-tests, CI — resolves rules through it.
 Every rule is an AST walk over one parsed source file.
 
 Suppression is per line and must be justified::
@@ -32,6 +32,8 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
+
+from repro.utils.registry import Registry
 
 #: Rule profiles: ``lib`` is the full invariant set enforced over
 #: ``src/repro``; ``bench`` is the relaxed profile for ``benchmarks/``,
@@ -92,7 +94,8 @@ class Rule:
     ``check`` is called with the :class:`FileContext` of each linted
     file.  ``profiles`` names the lint profiles the rule participates in;
     ``hint`` is the one-line fix guidance appended to every violation the
-    rule emits.
+    rule emits.  The reserved ``pragma`` name and unknown profiles are
+    refused here; :data:`RULES` checks the name's form on registration.
     """
 
     name: str
@@ -101,58 +104,28 @@ class Rule:
     hint: str = ""
     profiles: tuple[str, ...] = PROFILES
 
-
-_REGISTRY: dict[str, Rule] = {}
-
-
-def register_rule(rule: Rule, replace: bool = False) -> Rule:
-    """Add ``rule`` to the registry; duplicates are an error unless replacing."""
-    if not rule.name or not re.fullmatch(r"[a-z0-9][a-z0-9-]*", rule.name):
-        raise LintRegistryError(
-            f"rule name {rule.name!r} must be non-empty lower-case "
-            "kebab-case (it appears in pragmas and CLI flags)"
-        )
-    if rule.name == PRAGMA_RULE:
-        raise LintRegistryError(
-            f"rule name {PRAGMA_RULE!r} is reserved for the engine's own "
-            "pragma diagnostics"
-        )
-    unknown_profiles = set(rule.profiles) - set(PROFILES)
-    if unknown_profiles:
-        raise LintRegistryError(
-            f"rule {rule.name!r} names unknown profile(s) "
-            f"{sorted(unknown_profiles)}; known: {', '.join(PROFILES)}"
-        )
-    if rule.name in _REGISTRY and not replace:
-        raise DuplicateRuleError(
-            f"rule {rule.name!r} is already registered; pass replace=True "
-            "to overwrite it deliberately"
-        )
-    _REGISTRY[rule.name] = rule
-    return rule
+    def __post_init__(self) -> None:
+        if self.name == PRAGMA_RULE:
+            raise LintRegistryError(
+                f"rule name {PRAGMA_RULE!r} is reserved for the engine's own "
+                "pragma diagnostics"
+            )
+        unknown_profiles = set(self.profiles) - set(PROFILES)
+        if unknown_profiles:
+            raise LintRegistryError(
+                f"rule {self.name!r} names unknown profile(s) "
+                f"{sorted(unknown_profiles)}; known: {', '.join(PROFILES)}"
+            )
 
 
-def unregister_rule(name: str) -> None:
-    """Remove a rule (plugin teardown / test hygiene)."""
-    if name not in _REGISTRY:
-        raise UnknownRuleError(f"cannot unregister unknown rule {name!r}")
-    del _REGISTRY[name]
-
-
-def rule_by_name(name: str) -> Rule:
-    """Look up a registered rule, with a helpful unknown-name error."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise UnknownRuleError(
-            f"unknown rule {name!r}; registered rules: "
-            f"{', '.join(available_rules())}"
-        ) from None
-
-
-def available_rules() -> tuple[str, ...]:
-    """All registered rule names, in registration order."""
-    return tuple(_REGISTRY)
+RULES: Registry[Rule] = Registry(
+    "rule",
+    r"[a-z0-9][a-z0-9-]*",
+    "non-empty lower-case kebab-case (it appears in pragmas and CLI flags)",
+    error=LintRegistryError,
+    unknown=UnknownRuleError,
+    duplicate=DuplicateRuleError,
+)
 
 
 def rules_for(
@@ -169,10 +142,8 @@ def rules_for(
             f"unknown lint profile {profile!r}; known: {', '.join(PROFILES)}"
         )
     if names is not None:
-        return tuple(rule_by_name(name) for name in names)
-    return tuple(
-        rule for rule in _REGISTRY.values() if profile in rule.profiles
-    )
+        return tuple(RULES[name] for name in names)
+    return tuple(rule for rule in RULES.values() if profile in rule.profiles)
 
 
 # --------------------------------------------------------------------------
@@ -338,7 +309,7 @@ def lint_source(
     if rules is None:
         rules = rules_for("lib")
     if known_rules is None:
-        known_rules = available_rules()
+        known_rules = RULES.names()
     try:
         tree = ast.parse(source)
     except SyntaxError as error:
@@ -399,7 +370,7 @@ def lint_paths(
     """
     selected = rules_for(profile, rule_names)
     files = collect_files(paths)
-    known = available_rules()
+    known = RULES.names()
     violations: list[Violation] = []
     for file in files:
         violations.extend(lint_source(

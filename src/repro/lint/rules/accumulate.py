@@ -34,10 +34,10 @@ import ast
 from typing import Iterator
 
 from repro.lint.engine import (
+    RULES,
     FileContext,
     Rule,
     Violation,
-    register_rule,
 )
 
 
@@ -70,7 +70,7 @@ def _check(context: FileContext) -> Iterator[Violation]:
                 break
 
 
-RULE = register_rule(Rule(
+RULE = RULES.register(Rule(
     name="no-allocating-accumulate",
     check=_check,
     description=(

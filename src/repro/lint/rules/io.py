@@ -27,11 +27,11 @@ import ast
 from typing import Iterator
 
 from repro.lint.engine import (
+    RULES,
     FileContext,
     Rule,
     Violation,
     dotted_name,
-    register_rule,
 )
 
 _WRITE_MODE_CHARS = frozenset("wax+")
@@ -89,7 +89,7 @@ def _check(context: FileContext) -> Iterator[Violation]:
                 ))
 
 
-RULE = register_rule(Rule(
+RULE = RULES.register(Rule(
     name="no-raw-write",
     check=_check,
     description=(

@@ -26,11 +26,11 @@ import ast
 from typing import Iterator, Optional
 
 from repro.lint.engine import (
+    RULES,
     FileContext,
     Rule,
     Violation,
     dotted_name,
-    register_rule,
 )
 
 _UNORDERED_ATTR_CALLS = frozenset({
@@ -144,7 +144,7 @@ def _check(context: FileContext) -> Iterator[Violation]:
     yield from walker.violations
 
 
-RULE = register_rule(Rule(
+RULE = RULES.register(Rule(
     name="sorted-iteration",
     check=_check,
     description=(

@@ -24,7 +24,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.engine import FileContext, Rule, Violation, register_rule
+from repro.lint.engine import RULES, FileContext, Rule, Violation
 
 _DISPATCH_ATTRS = frozenset({
     "submit", "map", "map_async", "apply_async", "starmap",
@@ -100,7 +100,7 @@ def _check(context: FileContext) -> Iterator[Violation]:
                 yield violation
 
 
-RULE = register_rule(Rule(
+RULE = RULES.register(Rule(
     name="picklable-entry",
     check=_check,
     description=(

@@ -25,11 +25,11 @@ import ast
 from typing import Iterator
 
 from repro.lint.engine import (
+    RULES,
     FileContext,
     Rule,
     Violation,
     dotted_name,
-    register_rule,
 )
 
 # np.random attributes that are explicit constructors (fine to call with
@@ -138,7 +138,7 @@ def _check(context: FileContext) -> Iterator[Violation]:
                 ))
 
 
-RULE = register_rule(Rule(
+RULE = RULES.register(Rule(
     name="no-global-rng",
     check=_check,
     description=(

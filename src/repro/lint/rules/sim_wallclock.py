@@ -21,11 +21,11 @@ import ast
 from typing import Iterator
 
 from repro.lint.engine import (
+    RULES,
     FileContext,
     Rule,
     Violation,
     dotted_name,
-    register_rule,
 )
 
 _BANNED_MODULES = ("time", "datetime")
@@ -72,7 +72,7 @@ def _check(context: FileContext) -> Iterator[Violation]:
                 ))
 
 
-RULE = register_rule(Rule(
+RULE = RULES.register(Rule(
     name="no-sim-wallclock",
     check=_check,
     description=(

@@ -22,11 +22,11 @@ import ast
 from typing import Iterator
 
 from repro.lint.engine import (
+    RULES,
     FileContext,
     Rule,
     Violation,
     dotted_name,
-    register_rule,
 )
 
 _TIME_FUNCTIONS = frozenset({"time", "time_ns"})
@@ -80,7 +80,7 @@ def _check(context: FileContext) -> Iterator[Violation]:
                 ))
 
 
-RULE = register_rule(Rule(
+RULE = RULES.register(Rule(
     name="no-wallclock",
     check=_check,
     description=(

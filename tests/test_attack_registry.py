@@ -8,17 +8,14 @@ import numpy as np
 import pytest
 
 from repro.attacks import (
+    ATTACKS,
     AttackRegistryError,
     AttackSpec,
     DuplicateAttackError,
     ImprintedModel,
     LinearClassifier,
     UnknownAttackError,
-    attack_spec,
-    available_attacks,
     make_attack,
-    register_attack,
-    unregister_attack,
 )
 from repro.defense import inspect_state
 from repro.fl import compute_batch_gradients
@@ -58,11 +55,11 @@ class _ProbeAttack:
 
 class TestRegistry:
     def test_builtins_registered(self):
-        assert set(BUILTIN_ATTACKS) <= set(available_attacks())
+        assert set(BUILTIN_ATTACKS) <= set(ATTACKS.names())
 
     def test_unknown_name_raises_with_available_list(self):
         with pytest.raises(UnknownAttackError) as excinfo:
-            attack_spec("definitely-not-an-attack")
+            ATTACKS["definitely-not-an-attack"]
         message = str(excinfo.value)
         for name in BUILTIN_ATTACKS:
             assert name in message
@@ -74,25 +71,25 @@ class TestRegistry:
 
     def test_duplicate_registration_refused(self):
         spec = AttackSpec(name="dup_test", factory=_ProbeAttack)
-        register_attack(spec)
+        ATTACKS.register(spec)
         try:
             with pytest.raises(DuplicateAttackError):
-                register_attack(spec)
+                ATTACKS.register(spec)
             # ... unless replacement is explicit.
-            register_attack(spec, replace=True)
+            ATTACKS.register(spec, replace=True)
         finally:
-            unregister_attack("dup_test")
-        assert "dup_test" not in available_attacks()
+            ATTACKS.unregister("dup_test")
+        assert "dup_test" not in ATTACKS.names()
 
     def test_unregister_unknown_raises(self):
         with pytest.raises(UnknownAttackError):
-            unregister_attack("never_registered")
+            ATTACKS.unregister("never_registered")
 
     def test_invalid_name_refused(self):
         with pytest.raises(AttackRegistryError):
-            register_attack(AttackSpec(name="", factory=_ProbeAttack))
+            ATTACKS.register(AttackSpec(name="", factory=_ProbeAttack))
         with pytest.raises(AttackRegistryError):
-            register_attack(AttackSpec(name="bad name", factory=_ProbeAttack))
+            ATTACKS.register(AttackSpec(name="bad name", factory=_ProbeAttack))
 
     def test_unknown_knob_raises(self):
         with pytest.raises(AttackRegistryError, match="declared knobs"):
@@ -105,16 +102,16 @@ class TestRegistry:
         assert attack.activation_probability == pytest.approx(0.07)
 
     def test_specs_declare_model_family(self):
-        assert attack_spec("linear").model == "linear"
-        assert not attack_spec("linear").crafts_model
+        assert ATTACKS["linear"].model == "linear"
+        assert not ATTACKS["linear"].crafts_model
         for name in ("rtf", "cah", "qbi", "loki"):
-            assert attack_spec(name).model == "imprint"
-            assert attack_spec(name).crafts_model
+            assert ATTACKS[name].model == "imprint"
+            assert ATTACKS[name].crafts_model
 
     def test_every_spec_has_description_and_knob_docs(self):
         # Knobs are documented where they are declared: the constructor.
         for name in BUILTIN_ATTACKS:
-            spec = attack_spec(name)
+            spec = ATTACKS[name]
             assert spec.description
             doc = inspect.getdoc(spec.factory)
             for knob in spec.knobs:
@@ -126,29 +123,29 @@ class TestSignatureKnobs:
 
     @pytest.mark.parametrize("name", BUILTIN_ATTACKS)
     def test_knobs_are_constructor_defaults(self, name):
-        assert set(attack_spec(name).knobs) == EXPECTED_KNOBS[name]
+        assert set(ATTACKS[name].knobs) == EXPECTED_KNOBS[name]
 
-    @pytest.mark.parametrize("name", available_attacks())
+    @pytest.mark.parametrize("name", ATTACKS.names())
     def test_builds_with_signature_defaults(self, name):
-        spec = attack_spec(name)
+        spec = ATTACKS[name]
         parameters = inspect.signature(spec.factory).parameters
         defaults = {knob: parameters[knob].default for knob in spec.knobs}
         assert make_attack(name, 6, None, seed=0, **defaults) is not None
 
-    @pytest.mark.parametrize("name", available_attacks())
+    @pytest.mark.parametrize("name", ATTACKS.names())
     def test_undeclared_knob_raises(self, name):
         with pytest.raises(AttackRegistryError, match="declared knobs"):
             make_attack(name, 6, None, not_a_knob=1)
 
     def test_supplies_only_what_the_constructor_declares(self):
-        spec = register_attack(AttackSpec(name="probe", factory=_ProbeAttack))
+        spec = ATTACKS.register(AttackSpec(name="probe", factory=_ProbeAttack))
         try:
             assert spec.knobs == ("strength", "mode")
             attack = make_attack(
                 "probe", 7, np.zeros((2, 3)), seed=5, strength=2.0
             )
         finally:
-            unregister_attack("probe")
+            ATTACKS.unregister("probe")
         assert attack.args == (7, 2.0, "a")
 
     def test_var_keyword_factory_refused(self):
@@ -156,8 +153,8 @@ class TestSignatureKnobs:
             raise AssertionError("never built")
 
         with pytest.raises(AttackRegistryError, match=r"\*\*kwargs"):
-            register_attack(AttackSpec(name="kwargs_attack", factory=factory))
-        assert "kwargs_attack" not in available_attacks()
+            ATTACKS.register(AttackSpec(name="kwargs_attack", factory=factory))
+        assert "kwargs_attack" not in ATTACKS.names()
 
 
 class TestRoundTrips:
@@ -217,7 +214,7 @@ class TestDetectionCoverage:
     """Client-side inspection flags every model-crafting attack in the zoo."""
 
     @pytest.mark.parametrize(
-        "name", [n for n in BUILTIN_ATTACKS if attack_spec(n).crafts_model]
+        "name", [n for n in BUILTIN_ATTACKS if ATTACKS[n].crafts_model]
     )
     def test_crafted_state_is_flagged(self, name, cifar_like):
         attack = make_attack(name, 100, cifar_like.images[:100], seed=1)

@@ -9,6 +9,7 @@ import pytest
 
 from repro.augment import UnknownSuiteError, suite_by_name
 from repro.defense import (
+    DEFENSES,
     ClientDefense,
     DefensePipeline,
     DefenseRegistryError,
@@ -21,15 +22,11 @@ from repro.defense import (
     OasisDefense,
     TransformReplaceDefense,
     UnknownDefenseError,
-    available_defenses,
     canonical_spec,
     defense_lineup,
-    defense_spec,
     make_defense,
     parse_defense_spec,
-    register_defense,
     split_spec_list,
-    unregister_defense,
     validate_defense_spec,
 )
 from repro.utils.rng import derive_seed
@@ -54,11 +51,11 @@ EXPECTED_KNOBS = {
 
 class TestRegistry:
     def test_builtins_registered(self):
-        assert set(BUILTIN_DEFENSES) <= set(available_defenses())
+        assert set(BUILTIN_DEFENSES) <= set(DEFENSES.names())
 
     def test_unknown_name_raises_with_available_list(self):
         with pytest.raises(UnknownDefenseError) as excinfo:
-            defense_spec("definitely-not-a-defense")
+            DEFENSES["definitely-not-a-defense"]
         message = str(excinfo.value)
         for name in BUILTIN_DEFENSES:
             assert name in message
@@ -70,34 +67,34 @@ class TestRegistry:
 
     def test_duplicate_registration_refused(self):
         spec = DefenseSpec(name="dup_defense", factory=NoDefense)
-        register_defense(spec)
+        DEFENSES.register(spec)
         try:
             with pytest.raises(DuplicateDefenseError):
-                register_defense(spec)
-            register_defense(spec, replace=True)
+                DEFENSES.register(spec)
+            DEFENSES.register(spec, replace=True)
         finally:
-            unregister_defense("dup_defense")
-        assert "dup_defense" not in available_defenses()
+            DEFENSES.unregister("dup_defense")
+        assert "dup_defense" not in DEFENSES.names()
 
     def test_unregister_unknown_raises(self):
         with pytest.raises(UnknownDefenseError):
-            unregister_defense("never_registered")
+            DEFENSES.unregister("never_registered")
 
     def test_grammar_characters_refused_in_names(self):
         for bad in ("", "bad name", "a>b", "a(b)", "a=b", "a,b"):
             with pytest.raises(DefenseRegistryError):
-                register_defense(DefenseSpec(name=bad, factory=NoDefense))
+                DEFENSES.register(DefenseSpec(name=bad, factory=NoDefense))
 
     def test_plus_allowed_in_names(self):
         # Suite unions like MR+SH are first-class registered names.
-        assert defense_spec("MR+SH").name == "MR+SH"
+        assert DEFENSES["MR+SH"].name == "MR+SH"
 
     def test_specs_declare_stage_and_stochasticity(self):
-        assert defense_spec("WO").stage == "none"
-        assert defense_spec("MR").stage == "batch"
-        assert defense_spec("dpsgd").stage == "gradient"
-        assert defense_spec("dpsgd").stochastic
-        assert not defense_spec("prune").stochastic
+        assert DEFENSES["WO"].stage == "none"
+        assert DEFENSES["MR"].stage == "batch"
+        assert DEFENSES["dpsgd"].stage == "gradient"
+        assert DEFENSES["dpsgd"].stochastic
+        assert not DEFENSES["prune"].stochastic
 
 
 class TestSpecGrammar:
@@ -210,16 +207,16 @@ class TestSignatureKnobs:
 
     @pytest.mark.parametrize("name", BUILTIN_DEFENSES)
     def test_knobs_are_factory_defaults(self, name):
-        assert set(defense_spec(name).knobs) == EXPECTED_KNOBS[name]
+        assert set(DEFENSES[name].knobs) == EXPECTED_KNOBS[name]
 
-    @pytest.mark.parametrize("name", available_defenses())
+    @pytest.mark.parametrize("name", DEFENSES.names())
     def test_builds_with_signature_defaults(self, name):
-        spec = defense_spec(name)
+        spec = DEFENSES[name]
         parameters = inspect.signature(spec.factory).parameters
         defaults = {knob: parameters[knob].default for knob in spec.knobs}
         assert isinstance(make_defense(name, **defaults), ClientDefense)
 
-    @pytest.mark.parametrize("name", available_defenses())
+    @pytest.mark.parametrize("name", DEFENSES.names())
     def test_undeclared_knob_raises(self, name):
         with pytest.raises(DefenseRegistryError, match="declared knobs"):
             make_defense(name, not_a_knob=1)
@@ -236,8 +233,8 @@ class TestSignatureKnobs:
             return NoDefense()
 
         with pytest.raises(DefenseRegistryError, match=r"\*\*kwargs"):
-            register_defense(DefenseSpec(name="kwargs_defense", factory=factory))
-        assert "kwargs_defense" not in available_defenses()
+            DEFENSES.register(DefenseSpec(name="kwargs_defense", factory=factory))
+        assert "kwargs_defense" not in DEFENSES.names()
 
 
 class TestMakeDefense:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.attacks import ImprintedModel, LinearClassifier, make_global_model
 from repro.defense import DPGradientDefense, OasisDefense
 from repro.experiments import (
     PaperComparison,
@@ -66,6 +67,45 @@ class TestRunner:
         a = run_attack_trial(cifar_like, "rtf", 4, 100, seed=5)
         b = run_attack_trial(cifar_like, "rtf", 4, 100, seed=5)
         assert a.psnrs == b.psnrs
+
+
+class TestGlobalModel:
+    """Trials build the global model the attack's spec names."""
+
+    def test_linear_trial_runs_on_the_linear_model(self, cifar_like):
+        result = run_attack_trial(cifar_like, "linear", 4, 32, seed=3)
+        assert result.attack == "linear"
+        assert result.num_reconstructions > 0
+        assert len(result.psnrs) == result.num_reconstructions
+
+    def test_linear_lineup_has_no_errors(self, cifar_like):
+        result = run_defense_lineup(
+            cifar_like, "linear", 4, 32, ("WO", "MR"), num_trials=1
+        )
+        assert result.errors == {}
+        assert all(len(values) for values in result.distributions.values())
+
+    def test_model_family_follows_the_spec(self, cifar_like):
+        assert isinstance(
+            make_global_model("linear", cifar_like, 32, 1), LinearClassifier
+        )
+        for name in ("rtf", "cah", "qbi", "loki"):
+            assert isinstance(
+                make_global_model(name, cifar_like, 32, 1), ImprintedModel
+            )
+
+    def test_imprint_model_keeps_its_bytes(self, cifar_like):
+        # The model every imprint trial, the sweep and Fig. 14 built
+        # inline before sharing the builder.
+        inline = ImprintedModel(
+            cifar_like.image_shape, 100, cifar_like.num_classes,
+            rng=np.random.default_rng(4),
+        )
+        shared = make_global_model("rtf", cifar_like, 100, 4)
+        for (name, a), (_, b) in zip(
+            inline.named_parameters(), shared.named_parameters()
+        ):
+            assert a.data.tobytes() == b.data.tobytes(), name
 
 
 class TestSweep:

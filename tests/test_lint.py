@@ -17,18 +17,16 @@ from pathlib import Path
 import pytest
 
 from repro.lint import (
+    RULES,
     DuplicateRuleError,
     LintRegistryError,
     Rule,
     UnknownRuleError,
     Violation,
-    available_rules,
     lint_paths,
     lint_source,
     main,
-    register_rule,
     rules_for,
-    unregister_rule,
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -60,7 +58,7 @@ def rule_names(violations: list[Violation]) -> set[str]:
 
 class TestRuleRegistry:
     def test_all_rules_registered(self):
-        assert EXPECTED_RULES <= set(available_rules())
+        assert EXPECTED_RULES <= set(RULES.names())
 
     def test_profiles(self):
         lib = {rule.name for rule in rules_for("lib")}
@@ -89,19 +87,19 @@ class TestRuleRegistry:
 
     def test_duplicate_registration_rejected(self):
         rule = Rule(name="scratch-rule", check=lambda context: [])
-        register_rule(rule)
+        RULES.register(rule)
         try:
             with pytest.raises(DuplicateRuleError):
-                register_rule(rule)
-            register_rule(rule, replace=True)  # deliberate replace is fine
+                RULES.register(rule)
+            RULES.register(rule, replace=True)  # deliberate replace is fine
         finally:
-            unregister_rule("scratch-rule")
-        assert "scratch-rule" not in available_rules()
+            RULES.unregister("scratch-rule")
+        assert "scratch-rule" not in RULES.names()
 
     def test_bad_rule_names_rejected(self):
         for name in ("", "Has_Caps", "pragma", "-leading"):
             with pytest.raises(LintRegistryError):
-                register_rule(Rule(name=name, check=lambda context: []))
+                RULES.register(Rule(name=name, check=lambda context: []))
 
     def test_violation_format_is_compiler_style(self):
         violation = Violation(

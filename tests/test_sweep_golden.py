@@ -128,10 +128,10 @@ def test_golden_grid_still_shows_headline_ordering(outcome):
 
 
 def test_every_zoo_attack_present_in_golden_grid(outcome):
-    from repro.attacks import available_attacks
+    from repro.attacks import ATTACKS
 
     covered = {result["attack"] for result in outcome.results.values()}
-    assert covered == set(available_attacks()), (
+    assert covered == set(ATTACKS.names()), (
         "the golden grid must cover the whole attack zoo; extend "
         "golden_runner and regenerate when registering a new attack"
     )
