@@ -11,12 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from common import cifar100_bench, imagenet_bench, record_report
-from repro.experiments import FIG5_LINEUP, run_defense_lineup
-
-SETTINGS = {
-    "imagenet": ((8, 900), (64, 800)),
-    "cifar100": ((8, 500), (64, 600)),
-}
+from repro.experiments import FIG5_LINEUP, PAPER_SETTINGS, run_defense_lineup
 
 
 def _run(dataset, batch_size, num_neurons):
@@ -35,30 +30,34 @@ def _check_shape(result):
 
 
 def test_fig05_rtf_transforms_imagenet(benchmark):
+    settings = PAPER_SETTINGS[("rtf", "imagenet")].items()
+
     def run_both():
         return [
             _run(imagenet_bench(), batch, neurons)
-            for batch, neurons in SETTINGS["imagenet"]
+            for batch, neurons in settings
         ]
 
     results = benchmark.pedantic(run_both, rounds=1, iterations=1)
     body = []
-    for (batch, neurons), result in zip(SETTINGS["imagenet"], results):
+    for (batch, neurons), result in zip(settings, results):
         _check_shape(result)
         body.append(f"(B, n) = ({batch}, {neurons})\n{result.to_table()}")
     record_report("Figure 5a — RTF vs OASIS transformations, ImageNet", "\n\n".join(body))
 
 
 def test_fig05_rtf_transforms_cifar100(benchmark):
+    settings = PAPER_SETTINGS[("rtf", "cifar100")].items()
+
     def run_both():
         return [
             _run(cifar100_bench(), batch, neurons)
-            for batch, neurons in SETTINGS["cifar100"]
+            for batch, neurons in settings
         ]
 
     results = benchmark.pedantic(run_both, rounds=1, iterations=1)
     body = []
-    for (batch, neurons), result in zip(SETTINGS["cifar100"], results):
+    for (batch, neurons), result in zip(settings, results):
         averages = _check_shape(result)
         # The paper's fine ordering: flips slightly above major rotation.
         assert averages["HFlip"] >= averages["MR"] - 2.0

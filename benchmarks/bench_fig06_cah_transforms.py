@@ -10,12 +10,7 @@ improve and MR+SH remains the strongest.  Settings: ImageNet (8,100)/
 from __future__ import annotations
 
 from common import cifar100_bench, imagenet_bench, record_report
-from repro.experiments import FIG6_LINEUP, run_defense_lineup
-
-SETTINGS = {
-    "imagenet": ((8, 100), (64, 700)),
-    "cifar100": ((8, 300), (64, 600)),
-}
+from repro.experiments import FIG6_LINEUP, PAPER_SETTINGS, run_defense_lineup
 
 
 def _run(dataset, batch_size, num_neurons):
@@ -34,30 +29,34 @@ def _check_shape(result):
 
 
 def test_fig06_cah_transforms_imagenet(benchmark):
+    settings = PAPER_SETTINGS[("cah", "imagenet")].items()
+
     def run_both():
         return [
             _run(imagenet_bench(), batch, neurons)
-            for batch, neurons in SETTINGS["imagenet"]
+            for batch, neurons in settings
         ]
 
     results = benchmark.pedantic(run_both, rounds=1, iterations=1)
     body = []
-    for (batch, neurons), result in zip(SETTINGS["imagenet"], results):
+    for (batch, neurons), result in zip(settings, results):
         _check_shape(result)
         body.append(f"(B, n) = ({batch}, {neurons})\n{result.to_table()}")
     record_report("Figure 6a — CAH vs OASIS transformations, ImageNet", "\n\n".join(body))
 
 
 def test_fig06_cah_transforms_cifar100(benchmark):
+    settings = PAPER_SETTINGS[("cah", "cifar100")].items()
+
     def run_both():
         return [
             _run(cifar100_bench(), batch, neurons)
-            for batch, neurons in SETTINGS["cifar100"]
+            for batch, neurons in settings
         ]
 
     results = benchmark.pedantic(run_both, rounds=1, iterations=1)
     body = []
-    for (batch, neurons), result in zip(SETTINGS["cifar100"], results):
+    for (batch, neurons), result in zip(settings, results):
         _check_shape(result)
         body.append(f"(B, n) = ({batch}, {neurons})\n{result.to_table()}")
     record_report("Figure 6b — CAH vs OASIS transformations, CIFAR100", "\n\n".join(body))

@@ -21,6 +21,7 @@ import numpy as np
 from repro.data.loaders import DataLoader
 from repro.data.synthetic import SyntheticImageDataset
 from repro.defense.base import ClientDefense, NoDefense
+from repro.defense.pipeline import DefensePipeline
 from repro.defense.registry import make_defense
 from repro.experiments.reporting import format_table
 from repro.metrics.accuracy import accuracy
@@ -50,6 +51,18 @@ def _evaluate(model: Module, dataset: SyntheticImageDataset, batch_size: int = 1
     return accuracy(np.concatenate(logits), dataset.labels)
 
 
+def _gradient_stages(defense: ClientDefense) -> list[str]:
+    """Names of the stages of ``defense`` that act past the batch hook."""
+    stages = defense.stages if isinstance(defense, DefensePipeline) else (defense,)
+    return [
+        stage.name
+        for stage in stages
+        if stage.per_sample_clip is not None
+        or type(stage).process_gradients is not ClientDefense.process_gradients
+        or type(stage).finalize_update is not ClientDefense.finalize_update
+    ]
+
+
 def train_with_defense(
     train_set: SyntheticImageDataset,
     test_set: SyntheticImageDataset,
@@ -61,8 +74,20 @@ def train_with_defense(
     weight_decay: float = 1e-5,
     loader_seed: int = 0,
 ) -> TrainingOutcome:
-    """Train one arm of Table I and return its final test accuracy."""
+    """Train one arm of Table I and return its final test accuracy.
+
+    Training applies the defense's batch hook only, which is all an OASIS
+    suite uses; a defense with a gradient-stage hook (per-sample
+    clipping, ``process_gradients`` or ``finalize_update``) would train
+    as WO under its own label, so it raises ``ValueError`` instead.
+    """
     defense = defense if defense is not None else NoDefense()
+    gradient_stages = _gradient_stages(defense)
+    if gradient_stages:
+        raise ValueError(
+            f"Table I trains through the batch hook only; defense "
+            f"{defense.name!r} has gradient-stage hooks in {gradient_stages}"
+        )
     model = model_factory()
     optimizer = Adam(model.parameters(), lr=learning_rate, weight_decay=weight_decay)
     loss_fn = CrossEntropyLoss()

@@ -19,7 +19,7 @@ from repro.data.synthetic import SyntheticImageDataset
 from repro.defense.oasis import OasisDefense
 from repro.experiments.ats_comparison import run_ats_comparison
 from repro.experiments.reporting import PaperComparison
-from repro.experiments.runner import run_attack_trial, run_linear_trial
+from repro.experiments.runner import run_attack_trial
 
 
 def build_paper_summary(
@@ -69,9 +69,9 @@ def build_paper_summary(
         )
     )
 
-    linear_wo = run_linear_trial(dataset, batch_size, seed=seed)
-    linear_mr = run_linear_trial(
-        dataset, batch_size, defense=OasisDefense("MR"), seed=seed
+    linear_wo = run_attack_trial(dataset, "linear", batch_size, 0, seed=seed)
+    linear_mr = run_attack_trial(
+        dataset, "linear", batch_size, 0, defense=OasisDefense("MR"), seed=seed
     )
     rows.append(
         PaperComparison(

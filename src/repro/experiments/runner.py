@@ -1,22 +1,21 @@
 """Core experiment runner: one attack/defense evaluation trial.
 
 Every figure in the paper's evaluation reduces to repetitions of the same
-protocol: craft a malicious model, let an honest client compute gradients
-on a (possibly OASIS-expanded) batch, invert the gradients, and score the
-reconstructions by best-match PSNR.  This module implements that protocol
-once so the per-figure harnesses stay declarative.
+protocol: draw a client batch, build and craft the global model the attack
+targets, let an honest client compute its (possibly defended) update,
+invert it, and score the reconstructions by best-match PSNR.  This module
+implements that protocol once, for every registered attack and defense, so
+the per-figure harnesses stay declarative.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from repro.attacks.base import ReconstructionResult
-from repro.attacks.linear import LinearClassifier, LinearModelInversion
-from repro.attacks.registry import make_attack, make_global_model
+from repro.attacks.registry import ATTACKS, make_attack, make_global_model
 from repro.data.loaders import class_balanced_batch
 from repro.data.synthetic import SyntheticImageDataset
 from repro.defense.base import ClientDefense, NoDefense
@@ -24,20 +23,27 @@ from repro.defense.registry import make_defense
 from repro.experiments.executors import worker_shared
 from repro.fl.gradients import compute_defended_update
 from repro.metrics.psnr import match_reconstructions, per_image_best_psnr
-from repro.nn.losses import CrossEntropyLoss, LogisticLoss
+from repro.nn.losses import CrossEntropyLoss
 
 
 @dataclass
 class AttackTrialResult:
-    """Scores of one attack trial against one batch."""
+    """One attack trial: the client batch, what the attack recovered, scores."""
 
     attack: str
     defense: str
     batch_size: int
     num_neurons: int
-    psnrs: list[float] = field(default_factory=list)
-    per_image_best: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    num_reconstructions: int = 0
+    originals: np.ndarray
+    reconstructions: np.ndarray
+    # Per reconstruction: PSNR against its best-matching original.
+    psnrs: list[float]
+    # Per original: PSNR of its closest reconstruction.
+    per_image_best: np.ndarray
+
+    @property
+    def num_reconstructions(self) -> int:
+        return len(self.reconstructions)
 
     @property
     def average_psnr(self) -> float:
@@ -51,53 +57,46 @@ def evaluate_attack_cell(payload: dict):
 
     The sweep executors (:mod:`repro.experiments.executors`) dispatch
     tasks as ``(store_key, fn, payload)`` triples to worker processes, so
-    the work function must live at module level.  This one covers both
-    per-figure harness shapes:
+    the work function must live at module level.  The cell runs
+    ``num_trials`` trials of :func:`run_attack_trial`, trial ``t`` seeded
+    ``seed + 31 * t`` with a fresh defense built from the ``defense``
+    spec (default ``"WO"``) under that seed: stochastic arms (DP noise,
+    transform-replace) must not thread one stream across trials, or a
+    trial's score would depend on how many trials ran before it.  The
+    trials reduce per figure shape:
 
-    - ``mode="average"`` (Fig. 3/4 grids): mean average-PSNR over
-      ``num_trials`` independent trials — returns a float, the exact value
-      :func:`average_over_trials` reports, so stores written by serial PR-2
-      sweeps keep serving.
-    - ``mode="distribution"`` (Fig. 5/6 lineups): the concatenated PSNR
-      list across trials for one defense arm — returns ``list[float]``.
+    - ``mode="average"`` (Fig. 3/4 grids): the mean average-PSNR over the
+      trials that reconstructed anything (0.0 if none did) — a float.
+    - ``mode="distribution"`` (Fig. 5/6/13 lineups): the concatenated PSNR
+      list across trials for one defense arm — ``list[float]``.
 
     The dataset may ride in the payload (``payload["dataset"]``) or, for
     pool runs, be shipped once per worker through the executor's shared
     object (``shared={"dataset": ...}``) instead of once per task.
     """
     mode = payload.get("mode", "average")
+    if mode not in ("average", "distribution"):
+        raise ValueError(f"unknown evaluation mode {mode!r}")
     dataset = payload.get("dataset")
     if dataset is None:
         dataset = worker_shared()["dataset"]
-    if mode == "average":
-        overall, _ = average_over_trials(
-            dataset,
-            payload["attack"],
-            payload["batch_size"],
-            payload["num_neurons"],
-            num_trials=payload["num_trials"],
-            seed=payload["seed"],
-        )
-        return float(overall)
-    if mode == "distribution":
-        scores: list[float] = []
-        for trial in range(payload["num_trials"]):
-            trial_seed = payload["seed"] + 31 * trial
-            result = run_attack_trial(
+    trials = []
+    for trial in range(payload["num_trials"]):
+        trial_seed = payload["seed"] + 31 * trial
+        trials.append(
+            run_attack_trial(
                 dataset,
                 payload["attack"],
                 payload["batch_size"],
                 payload["num_neurons"],
-                # A fresh, trial-seeded defense per trial: stochastic arms
-                # (DP noise, transform-replace) must not thread one stream
-                # across trials, or the distribution would depend on how
-                # many trials ran before this one.
-                defense=make_defense(payload["defense"], seed=trial_seed),
+                defense=make_defense(payload.get("defense", "WO"), seed=trial_seed),
                 seed=trial_seed,
             )
-            scores.extend(result.psnrs)
-        return [float(score) for score in scores]
-    raise ValueError(f"unknown evaluation mode {mode!r}")
+        )
+    if mode == "distribution":
+        return [float(score) for trial in trials for score in trial.psnrs]
+    averages = [trial.average_psnr for trial in trials if trial.num_reconstructions]
+    return float(np.mean(averages)) if averages else 0.0
 
 
 def run_attack_trial(
@@ -112,14 +111,24 @@ def run_attack_trial(
     """One full dishonest-server round against one client batch.
 
     The global model is the one the attack targets (see
-    :func:`~repro.attacks.registry.make_global_model`).  The attacker
-    calibrates on the first ``public_size`` dataset images (the standard
-    public-prior assumption of RTF/CAH); the client batch is drawn with
-    the trial seed, so trials are reproducible and independent.
+    :func:`~repro.attacks.registry.make_global_model`), and so is the
+    batch: imprint attacks see a uniform draw, the linear inversion a
+    unique-label batch capped at the class count (paper Sec. IV-D).  The
+    batch is drawn with a generator keyed ``(seed, batch_size,
+    num_neurons)``, so trials are reproducible and independent.  The
+    attacker calibrates on the first ``public_size`` dataset images (the
+    standard public-prior assumption of RTF/CAH); the client applies
+    every stage of ``defense`` (see
+    :func:`~repro.fl.gradients.compute_defended_update`).
     """
     defense = defense if defense is not None else NoDefense()
     rng = np.random.default_rng((seed, batch_size, num_neurons))
-    images, labels = dataset.sample_batch(min(batch_size, len(dataset)), rng)
+    if ATTACKS[attack_name].model == "linear":
+        images, labels = class_balanced_batch(
+            dataset, min(batch_size, dataset.num_classes), rng, unique_labels=True
+        )
+    else:
+        images, labels = dataset.sample_batch(min(batch_size, len(dataset)), rng)
 
     model = make_global_model(attack_name, dataset, num_neurons, seed + 1)
     attack = make_attack(
@@ -130,78 +139,14 @@ def run_attack_trial(
     gradients, _, _ = compute_defended_update(
         model, CrossEntropyLoss(), images, labels, defense, rng
     )
-    result = attack.reconstruct(gradients)
-    return _score(result, images, attack_name, defense.name, batch_size, num_neurons)
-
-
-def run_linear_trial(
-    dataset: SyntheticImageDataset,
-    batch_size: int,
-    defense: Optional[ClientDefense] = None,
-    seed: int = 0,
-) -> AttackTrialResult:
-    """Sec. IV-D: gradient inversion on a single-layer logistic model.
-
-    Batches are drawn with unique labels, per the experiment's assumption.
-    """
-    defense = defense if defense is not None else NoDefense()
-    rng = np.random.default_rng((seed, batch_size))
-    images, labels = class_balanced_batch(
-        dataset, min(batch_size, dataset.num_classes), rng, unique_labels=True
-    )
-    model = LinearClassifier(
-        dataset.image_shape, dataset.num_classes, rng=np.random.default_rng(seed + 1)
-    )
-    inversion = LinearModelInversion()
-    inversion.craft(model)
-    gradients, _, _ = compute_defended_update(
-        model, LogisticLoss(), images, labels, defense, rng
-    )
-    result = inversion.reconstruct(gradients)
-    return _score(result, images, "linear", defense.name, batch_size, 0)
-
-
-def _score(
-    result: ReconstructionResult,
-    originals: np.ndarray,
-    attack: str,
-    defense: str,
-    batch_size: int,
-    num_neurons: int,
-) -> AttackTrialResult:
-    psnrs = [score for _, score in match_reconstructions(originals, result.images)]
+    reconstructions = attack.reconstruct(gradients).images
     return AttackTrialResult(
-        attack=attack,
-        defense=defense,
+        attack=attack_name,
+        defense=defense.name,
         batch_size=batch_size,
         num_neurons=num_neurons,
-        psnrs=psnrs,
-        per_image_best=per_image_best_psnr(originals, result.images),
-        num_reconstructions=len(result),
+        originals=images,
+        reconstructions=reconstructions,
+        psnrs=[score for _, score in match_reconstructions(images, reconstructions)],
+        per_image_best=per_image_best_psnr(images, reconstructions),
     )
-
-
-def average_over_trials(
-    dataset: SyntheticImageDataset,
-    attack_name: str,
-    batch_size: int,
-    num_neurons: int,
-    defense: Optional[ClientDefense] = None,
-    num_trials: int = 3,
-    seed: int = 0,
-) -> tuple[float, list[AttackTrialResult]]:
-    """Mean average-PSNR over independent trials (fresh batch each trial)."""
-    trials = [
-        run_attack_trial(
-            dataset,
-            attack_name,
-            batch_size,
-            num_neurons,
-            defense=defense,
-            seed=seed + 31 * t,
-        )
-        for t in range(num_trials)
-    ]
-    averages = [t.average_psnr for t in trials if t.num_reconstructions > 0]
-    overall = float(np.mean(averages)) if averages else 0.0
-    return overall, trials

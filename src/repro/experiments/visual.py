@@ -19,15 +19,11 @@ from typing import Optional
 
 import numpy as np
 
-from repro.attacks.imprint import ImprintedModel
-from repro.attacks.registry import make_attack
 from repro.data.synthetic import SyntheticImageDataset
-from repro.defense.base import NoDefense
 from repro.defense.registry import make_defense
 from repro.experiments.reporting import render_ascii_image, side_by_side
-from repro.fl.gradients import compute_batch_gradients
-from repro.metrics.psnr import psnr
-from repro.nn.losses import CrossEntropyLoss
+from repro.experiments.runner import run_attack_trial
+from repro.metrics.psnr import pairwise_psnr
 from repro.utils.checkpoint import atomic_write_bytes
 
 
@@ -64,56 +60,39 @@ class Gallery:
 def reconstruction_gallery(
     dataset: SyntheticImageDataset,
     attack_name: str,
-    suite_name: Optional[str],
+    defense: Optional[str],
     batch_size: int,
     num_neurons: int,
     seed: int = 0,
     max_pairs: int = 4,
 ) -> Gallery:
-    """Run one attack round and pair originals with their best reconstructions.
+    """Run one attack trial and pair originals with their best reconstructions.
 
-    ``suite_name`` None reproduces the without-OASIS panel; a suite name
-    ("MR", "mR", "SH", "HFlip", "VFlip", "MR+SH") reproduces the defended
-    panel of the corresponding figure.
+    ``defense`` None reproduces the without-OASIS panel; a defense spec
+    ("MR", "mR", "SH", "HFlip", "VFlip", "MR+SH" for the paper's panels, or
+    any registered spec such as "dpsgd" or "MR>prune") reproduces the
+    defended panel.  The round is one
+    :func:`~repro.experiments.runner.run_attack_trial` with the defense
+    seeded by ``seed``, so each pair's PSNR is that trial's best
+    per-original PSNR.
     """
-    defense = NoDefense() if suite_name is None else make_defense(suite_name)
-    rng = np.random.default_rng((seed, batch_size))
-    images, labels = dataset.sample_batch(min(batch_size, len(dataset)), rng)
-    model = ImprintedModel(
-        dataset.image_shape,
+    trial = run_attack_trial(
+        dataset,
+        attack_name,
+        batch_size,
         num_neurons,
-        dataset.num_classes,
-        rng=np.random.default_rng(seed + 1),
+        defense=make_defense(defense or "WO", seed=seed),
+        seed=seed,
     )
-    attack = make_attack(attack_name, num_neurons, dataset.images[:200], seed=seed)
-    attack.craft(model)
-    processed_images, processed_labels = defense.process_batch(images, labels, rng)
-    gradients, _ = compute_batch_gradients(
-        model, CrossEntropyLoss(), processed_images, processed_labels
-    )
-    result = attack.reconstruct(gradients)
-
-    pairs_orig, pairs_recon, scores = [], [], []
-    for original in images[:max_pairs]:
-        if len(result.images) == 0:
-            continue
-        candidate_scores = [psnr(original, recon) for recon in result.images]
-        best = int(np.argmax(candidate_scores))
-        pairs_orig.append(original)
-        pairs_recon.append(result.images[best])
-        scores.append(candidate_scores[best])
-    if pairs_orig:
-        originals = np.stack(pairs_orig)
-        reconstructions = np.stack(pairs_recon)
-    else:
-        originals = np.empty((0,) + dataset.image_shape)
-        reconstructions = np.empty((0,) + dataset.image_shape)
+    scores = pairwise_psnr(trial.originals, trial.reconstructions)
+    pairs = np.arange(min(max_pairs, len(trial.originals)) if len(scores) else 0)
+    best = np.argmax(scores[:, pairs], axis=0) if len(pairs) else pairs
     return Gallery(
         attack=attack_name,
-        defense=defense.name,
-        originals=originals,
-        reconstructions=reconstructions,
-        psnrs=scores,
+        defense=trial.defense,
+        originals=trial.originals[pairs],
+        reconstructions=trial.reconstructions[best],
+        psnrs=[float(score) for score in scores[best, pairs]],
     )
 
 

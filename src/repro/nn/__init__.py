@@ -13,7 +13,7 @@ from repro.nn.layers import (
     ReLU,
     Sequential,
 )
-from repro.nn.losses import CrossEntropyLoss, LogisticLoss, MSELoss, one_hot
+from repro.nn.losses import CrossEntropyLoss, MSELoss, one_hot
 from repro.nn.module import Module, Parameter
 from repro.nn.optim import SGD, Adam, Optimizer
 from repro.nn.resnet import BasicBlock, ResNet, resnet18, small_cnn
@@ -34,7 +34,6 @@ __all__ = [
     "MLP",
     "CrossEntropyLoss",
     "MSELoss",
-    "LogisticLoss",
     "one_hot",
     "Optimizer",
     "SGD",

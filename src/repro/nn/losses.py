@@ -1,8 +1,8 @@
 """Loss functions.
 
-``CrossEntropyLoss`` is the loss used throughout the paper's experiments;
-``LogisticLoss`` is the single-layer regression loss of the Sec. IV-D
-linear-model gradient-inversion attack.
+``CrossEntropyLoss`` is the loss used throughout the paper's experiments,
+including the "logistic regression loss" of the Sec. IV-D single-layer
+model (multi-class logistic regression is softmax cross entropy).
 """
 
 from __future__ import annotations
@@ -62,18 +62,3 @@ class MSELoss(Module):
             return squared.mean()
         return squared.sum()
 
-
-class LogisticLoss(Module):
-    """Multi-class logistic-regression loss for the Sec. IV-D linear attack.
-
-    Identical math to :class:`CrossEntropyLoss`; kept as a separate named
-    class to mirror the paper's "trained with a logistic regression loss"
-    description of the restrictive single-layer setting.
-    """
-
-    def __init__(self, reduction: str = "mean") -> None:
-        super().__init__()
-        self._inner = CrossEntropyLoss(reduction=reduction)
-
-    def forward(self, logits: Tensor, targets: np.ndarray) -> Tensor:
-        return self._inner(logits, targets)

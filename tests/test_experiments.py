@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 from repro.attacks import ImprintedModel, LinearClassifier, make_global_model
-from repro.defense import DPGradientDefense, OasisDefense
+from repro.data import make_synthetic_dataset
+from repro.defense import DPGradientDefense, OasisDefense, make_defense
 from repro.experiments import (
+    TABLE1_LINEUP,
     PaperComparison,
+    SweepStore,
     comparison_table,
     format_table,
     monotone_in_batch_size,
@@ -18,8 +21,6 @@ from repro.experiments import (
     run_ats_comparison,
     run_attack_trial,
     run_defense_lineup,
-    run_linear_lineup,
-    run_linear_trial,
     run_sweep,
     run_table1,
     side_by_side,
@@ -51,9 +52,22 @@ class TestRunner:
             run_attack_trial(cifar_like, "dlg", 4, 100)
 
     def test_linear_trial(self, cifar_like):
-        result = run_linear_trial(cifar_like, 8, seed=3)
+        result = run_attack_trial(cifar_like, "linear", 8, 0, seed=3)
         assert result.attack == "linear"
         assert result.num_reconstructions == 8
+        # Sec. IV-D: the linear batch carries unique labels.
+        assert len(result.originals) == 8
+        assert result.reconstructions.shape == result.originals.shape
+
+    def test_linear_batch_caps_at_class_count(self, tiny_dataset):
+        result = run_attack_trial(tiny_dataset, "linear", 8, 0, seed=3)
+        assert len(result.originals) == tiny_dataset.num_classes
+
+    def test_trial_carries_batch_and_reconstructions(self, cifar_like):
+        result = run_attack_trial(cifar_like, "rtf", 4, 100, seed=3)
+        assert result.originals.shape == (4,) + cifar_like.image_shape
+        assert len(result.reconstructions) == result.num_reconstructions
+        assert len(result.per_image_best) == 4
 
     def test_dp_defense_reduces_rtf(self, cifar_like):
         clean = run_attack_trial(cifar_like, "rtf", 4, 100, seed=3)
@@ -158,9 +172,23 @@ class TestLineups:
         assert "WO" in result.to_table()
 
     def test_fig13_lineup(self, cifar_like):
-        result = run_linear_lineup(cifar_like, 4, ("WO", "MR"), num_trials=1)
+        result = run_defense_lineup(
+            cifar_like, "linear", 4, 0, ("WO", "MR"), num_trials=1
+        )
         averages = result.averages()
         assert averages["WO"] > averages["MR"]
+
+    def test_fig13_lineup_store_bytes_serial_vs_workers(self, cifar_like, tmp_path):
+        paths = []
+        for workers in (1, 2):
+            path = tmp_path / f"fig13_w{workers}.log"
+            result = run_defense_lineup(
+                cifar_like, "linear", 4, 0, ("WO", "MR", "dpsgd"),
+                num_trials=2, seed=19, store=SweepStore(path), workers=workers,
+            )
+            assert result.errors == {}
+            paths.append(path)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 class TestTable1:
@@ -185,6 +213,21 @@ class TestTable1:
             defense=OasisDefense("HFlip"), epochs=15, batch_size=8,
         )
         assert oasis.test_accuracy > base.test_accuracy - 0.35
+
+    @pytest.mark.parametrize("arm", ["dpsgd", "MR>dpsgd", "prune"])
+    def test_gradient_stage_arm_raises(self, tiny_dataset, arm):
+        with pytest.raises(ValueError, match="gradient-stage"):
+            run_table1(
+                tiny_dataset, tiny_dataset, self._factory(tiny_dataset),
+                lineup=(arm,), epochs=1, batch_size=8,
+            )
+
+    def test_paper_lineup_is_batch_only(self, tiny_dataset):
+        outcomes = run_table1(
+            tiny_dataset, tiny_dataset, self._factory(tiny_dataset),
+            lineup=TABLE1_LINEUP, epochs=1, batch_size=8,
+        )
+        assert set(outcomes) == set(TABLE1_LINEUP)
 
     def test_run_table1_and_report(self, tiny_dataset):
         outcomes = run_table1(
@@ -215,6 +258,38 @@ class TestVisual:
     def test_gallery_with_defense(self, cifar_like):
         gallery = reconstruction_gallery(cifar_like, "rtf", "MR", 4, 100, max_pairs=2)
         assert all(p < 60.0 for p in gallery.psnrs)
+
+    @pytest.mark.parametrize(
+        "attack,defense,num_neurons",
+        [
+            ("rtf", None, 64),
+            ("rtf", "MR", 64),
+            ("rtf", "dpsgd", 64),
+            ("rtf", "prune", 64),
+            ("linear", None, 0),
+        ],
+    )
+    def test_gallery_scores_are_the_trial_best(self, attack, defense, num_neurons):
+        dataset = make_synthetic_dataset(4, 12, image_size=8, seed=3)
+        gallery = reconstruction_gallery(
+            dataset, attack, defense, 4, num_neurons, seed=0, max_pairs=3
+        )
+        trial = run_attack_trial(
+            dataset, attack, 4, num_neurons,
+            defense=make_defense(defense or "WO", seed=0), seed=0,
+        )
+        assert trial.num_reconstructions > 0
+        assert gallery.defense == trial.defense
+        assert gallery.psnrs == list(trial.per_image_best[:3])
+        assert np.array_equal(gallery.originals, trial.originals[:3])
+        assert len(gallery.reconstructions) == 3
+
+    def test_gallery_without_reconstructions_is_empty(self):
+        dataset = make_synthetic_dataset(4, 12, image_size=8, seed=3)
+        gallery = reconstruction_gallery(dataset, "rtf", "prune", 4, 64, seed=3)
+        assert gallery.psnrs == []
+        assert gallery.originals.shape == (0,) + dataset.image_shape
+        assert gallery.reconstructions.shape == (0,) + dataset.image_shape
 
     def test_render_pairs(self, cifar_like):
         gallery = reconstruction_gallery(cifar_like, "rtf", "MR", 4, 100, max_pairs=1)

@@ -1,4 +1,4 @@
-"""Losses (cross entropy, MSE, logistic) and optimizers (SGD, Adam)."""
+"""Losses (cross entropy, MSE) and optimizers (SGD, Adam)."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from repro.nn import (
     Adam,
     CrossEntropyLoss,
     Linear,
-    LogisticLoss,
     MSELoss,
     Parameter,
     SGD,
@@ -62,13 +61,6 @@ class TestCrossEntropy:
         probs = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
         expected = probs - one_hot(labels, 5)
         np.testing.assert_allclose(t.grad, expected, atol=1e-10)
-
-    def test_logistic_loss_aliases_ce(self, rng):
-        logits = rng.standard_normal((4, 3))
-        labels = rng.integers(0, 3, 4)
-        a = CrossEntropyLoss()(Tensor(logits), labels).item()
-        b = LogisticLoss()(Tensor(logits), labels).item()
-        assert np.isclose(a, b)
 
 
 class TestMSE:
